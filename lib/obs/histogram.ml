@@ -56,7 +56,7 @@ let name h = h.h_name
 
 let observe h v =
   ignore (Atomic.fetch_and_add h.counts.(index v) 1);
-  ignore (Atomic.fetch_and_add h.h_sum (max 0 v))
+  ignore (Atomic.fetch_and_add h.h_sum v)
 
 let count h = Array.fold_left (fun acc c -> acc + Atomic.get c) 0 h.counts
 let sum h = Atomic.get h.h_sum

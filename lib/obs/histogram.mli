@@ -42,7 +42,8 @@ val make : string -> t
 val name : t -> string
 
 val observe : t -> int -> unit
-(** Record one observation. Negative values land in bin 0. *)
+(** Record one observation. Negative values land in bin 0, and {!sum}
+    keeps their true value. *)
 
 val count : t -> int
 val sum : t -> int

@@ -4,7 +4,9 @@
     module slices a trace into fixed-width windows and produces, for
     each, the tree annotated with every client's observed rate in that
     window — the inputs a periodic reconfiguration pipeline
-    ({!Replica_core.Update_policy}) expects. *)
+    ({!Replica_core.Update_policy}) expects. Every view comes from one
+    pass per stream into a dense [window][client] count grid, in
+    O(E + windows × clients). *)
 
 val rates : Trace.t -> Tree.t -> window:float -> index:int -> Tree.t
 (** [rates trace tree ~window ~index] is [tree] with each client's
@@ -20,6 +22,8 @@ val epochs : Trace.t -> Tree.t -> window:float -> Tree.t list
     epoch. *)
 
 val epoch_count : Trace.t -> window:float -> int
+(** One past the last window starting at or before the final event, so
+    an event at exactly [k · window] opens window [k]. *)
 
 val epochs_multi :
   (Trace.t * Tree.t) list -> window:float -> Tree.t list list

@@ -27,6 +27,10 @@ val of_events : event list -> t
     @raise Invalid_argument on a negative timestamp. *)
 
 val events : t -> event list
+
+val iter : (event -> unit) -> t -> unit
+(** Visit the events in time order, without copying the trace. *)
+
 val length : t -> int
 
 val duration : t -> float
@@ -40,7 +44,8 @@ val merge_all : t list -> t
     by (time, node, client) exactly as {!of_events} sorts them, so the
     result is independent of the list order of equal streams and
     [merge_all [a; b] = merge a b]. The merged length is the sum of
-    the stream lengths (nothing is dropped or deduplicated). *)
+    the stream lengths (nothing is dropped or deduplicated). The sorted
+    streams are merged in one pass, never re-sorted: O(E log k). *)
 
 val filter : (event -> bool) -> t -> t
 

@@ -330,20 +330,22 @@ let with_pre_existing t l =
 (* Demand redraws keep the node's binding constraint: when the new client
    multiset has the same arity the per-client bounds are kept verbatim;
    otherwise every new client inherits the node's tightest old bound, so
-   epoch views of a constrained network stay constrained. *)
+   epoch views of a constrained network stay constrained. Nothing mutates
+   a tree after [make], so the view shares every structural array with
+   [t] and builds only its client and QoS rows. *)
 let with_clients t f =
   let clients = Array.init (size t) (fun j -> Array.of_list (f j)) in
+  Array.iter
+    (Array.iter (fun r ->
+         if r < 0 then invalid_arg "Tree: negative request count"))
+    clients;
   let qos =
     Array.init (size t) (fun j ->
         let n = Array.length clients.(j) in
-        if n = Array.length t.qos.(j) then Array.copy t.qos.(j)
-        else begin
-          let tightest = Array.fold_left min unbounded t.qos.(j) in
-          Array.make n tightest
-        end)
+        if n = Array.length t.qos.(j) then t.qos.(j)
+        else Array.make n (Array.fold_left Int.min unbounded t.qos.(j)))
   in
-  make ~qos ~bw:(Array.copy t.bw) (Array.copy t.parents) clients
-    (Array.copy t.pre)
+  { t with clients; qos }
 
 let with_qos t f =
   let qos =

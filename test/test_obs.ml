@@ -56,6 +56,18 @@ let test_histogram_edges () =
   H.reset h;
   check ci "reset clears" 0 (H.count h)
 
+let test_histogram_negative_sum () =
+  (* A negative observation lands in bin 0 and keeps its true value in
+     the sum: 7 + (-3) + 0 = 4. *)
+  let h = H.make "negative" in
+  List.iter (H.observe h) [ 7; -3; 0 ];
+  check ci "count" 3 (H.count h);
+  check ci "true sum" 4 (H.sum h);
+  check ci "summary sum" 4 (H.summary h).H.s_sum;
+  check (Alcotest.list (Alcotest.pair ci ci)) "buckets"
+    [ (0, 2); (1, 2); (3, 2); (7, 3) ]
+    (H.buckets h)
+
 let test_histogram_registry () =
   let a = H.create "test_obs.registered" in
   let b = H.create "test_obs.registered" in
@@ -655,6 +667,8 @@ let () =
           prop_quantiles_monotone;
           prop_quantile_brackets_value;
           Alcotest.test_case "edge cases" `Quick test_histogram_edges;
+          Alcotest.test_case "negative observation" `Quick
+            test_histogram_negative_sum;
           Alcotest.test_case "registry" `Quick test_histogram_registry;
         ] );
       ( "span",

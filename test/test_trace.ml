@@ -209,6 +209,232 @@ let prop_epochs_cover_trace =
       epochs >= 1
       && Trace.duration trace <= (float_of_int epochs *. window) +. 1e-9)
 
+(* --- Boundary regressions: an event at exactly k · window --- *)
+
+(* A final event at exactly k · window opens window k, at every
+   duration: a count of [ceil ((d + epsilon) / window)] would leave it
+   outside every window once d >= 2. *)
+let test_boundary_final_event () =
+  let tree = sample_tree () in
+  List.iter
+    (fun (d, window, count) ->
+      (* [window] events at [d], so the last window's rate is 1. *)
+      let final = List.init (int_of_float window) (fun _ -> ev d 1 0) in
+      let trace = Trace.of_events (ev 0.5 0 0 :: final) in
+      let label = Printf.sprintf "d=%g window=%g" d window in
+      check ci (label ^ ": count") count (Epochs.epoch_count trace ~window);
+      check cb (label ^ ": conserved") true
+        (Epochs.conservation_check trace tree ~window);
+      let last = List.nth (Epochs.epochs trace tree ~window) (count - 1) in
+      check ci (label ^ ": last window holds it") 1 (Tree.total_requests last))
+    [ (1., 1., 2); (2., 1., 3); (60., 1., 61); (10., 5., 3); (5., 5., 2) ]
+
+(* --- The per-window scan: differential oracle for the bucketing kernel.
+   Every window rescans the whole event list into a tuple-keyed table,
+   O(E × windows); the window count is the library's [epoch_count]. --- *)
+
+module Oracle = struct
+  let window_counts trace ~window ~index =
+    if window <= 0. then invalid_arg "Epochs: window must be positive";
+    if index < 0 then invalid_arg "Epochs: negative index";
+    let start = float_of_int index *. window in
+    let stop = start +. window in
+    let tbl = Hashtbl.create 64 in
+    List.iter
+      (fun e ->
+        if e.Trace.time >= start && e.Trace.time < stop then begin
+          let key = (e.Trace.node, e.Trace.client) in
+          Hashtbl.replace tbl key
+            ((try Hashtbl.find tbl key with Not_found -> 0) + 1)
+        end)
+      (Trace.events trace);
+    tbl
+
+  let rates trace tree ~window ~index =
+    let counts = window_counts trace ~window ~index in
+    Tree.with_clients tree (fun j ->
+        List.filteri
+          (fun _ r -> r > 0)
+          (List.mapi
+             (fun i _ ->
+               let events =
+                 try Hashtbl.find counts (j, i) with Not_found -> 0
+               in
+               int_of_float (Float.round (float_of_int events /. window)))
+             (Tree.clients tree j)))
+
+  let epochs trace tree ~window =
+    List.init (Epochs.epoch_count trace ~window) (fun index ->
+        rates trace tree ~window ~index)
+
+  let epochs_multi streams ~window =
+    let count =
+      List.fold_left
+        (fun acc (trace, _) -> max acc (Epochs.epoch_count trace ~window))
+        1 streams
+    in
+    List.init count (fun index ->
+        List.map (fun (trace, tree) -> rates trace tree ~window ~index) streams)
+
+  let conservation_check trace ~window =
+    let summed = ref 0 in
+    for index = 0 to Epochs.epoch_count trace ~window - 1 do
+      Hashtbl.iter
+        (fun _ c -> summed := !summed + c)
+        (window_counts trace ~window ~index)
+    done;
+    !summed = Trace.length trace
+
+  (* Concatenate, then sort with polymorphic compare on tuples. *)
+  let sort events =
+    List.sort
+      (fun a b ->
+        compare
+          (a.Trace.time, a.Trace.node, a.Trace.client)
+          (b.Trace.time, b.Trace.node, b.Trace.client))
+      events
+
+  let merge_all ts = sort (List.concat_map Trace.events ts)
+end
+
+let test_boundary_windows () =
+  (* Events on and one ulp below every grid point land where the window
+     predicate puts them. At 0.1, [float k *. 0.1] and
+     [float (k - 1) *. 0.1 +. 0.1] differ in the last bit for some k, so
+     neighbouring windows overlap or leave a gap and the conservation
+     check fails exactly where the per-window scan's does. At the dyadic
+     width 0.25 windows tile exactly and every event is conserved. *)
+  let tree = sample_tree () in
+  List.iter
+    (fun (window, conserved) ->
+      let trace =
+        Trace.of_events
+          (List.concat
+             (List.init 61 (fun k ->
+                  let t = float_of_int k *. window in
+                  [ ev t 0 0; ev (Float.max 0. (Float.pred t)) 1 1 ])))
+      in
+      let label = Printf.sprintf "window=%g" window in
+      check ci (label ^ ": count") 61 (Epochs.epoch_count trace ~window);
+      check cb (label ^ ": epochs = oracle") true
+        (List.equal Tree.equal
+           (Epochs.epochs trace tree ~window)
+           (Oracle.epochs trace tree ~window));
+      check cb (label ^ ": conservation") conserved
+        (Epochs.conservation_check trace tree ~window);
+      check cb (label ^ ": conservation = oracle")
+        (Oracle.conservation_check trace ~window)
+        (Epochs.conservation_check trace tree ~window))
+    [ (0.1, false); (0.25, true) ]
+
+let oracle_windows = [| 0.1; 0.25; 0.3; 0.7; 1.; 2.5 |]
+
+(* Random events over [0, points · window], most forced onto a grid
+   point k · window: exactly [float k *. window], one ulp either side,
+   or k · window reached by repeated addition. Nodes and client indices
+   run one past the tree's, so events naming no client occur too. *)
+let random_events rng tree ~window ~points =
+  let on_grid k = float_of_int k *. window in
+  let rec added acc k = if k = 0 then acc else added (acc +. window) (k - 1) in
+  List.init (Rng.int rng 40) (fun _ ->
+      let k = Rng.int rng (points + 1) in
+      let time =
+        match Rng.int rng 6 with
+        | 0 | 1 -> on_grid k
+        | 2 -> Float.succ (on_grid k)
+        | 3 -> Float.max 0. (Float.pred (on_grid k))
+        | 4 -> added 0. k
+        | _ -> Rng.float rng (on_grid points)
+      in
+      let node = Rng.int rng (Tree.size tree + 1) in
+      let clients =
+        if node < Tree.size tree then List.length (Tree.clients tree node)
+        else 1
+      in
+      ev time node (Rng.int rng (clients + 1)))
+
+(* One window from the list, and 1-3 streams over their own trees. The
+   run's seed is printed first ("qcheck random seed: N");
+   QCHECK_SEED=N replays it. *)
+let boundary_case_gen =
+  QCheck2.Gen.map
+    (fun (seed, w) ->
+      let rng = Rng.create (1 + seed) in
+      let window = oracle_windows.(w) in
+      let streams =
+        List.init (1 + Rng.int rng 3) (fun _ ->
+            let tree =
+              small_tree rng ~nodes:(1 + Rng.int rng 8) ~max_requests:4
+            in
+            let points = 1 + Rng.int rng 12 in
+            (Trace.of_events (random_events rng tree ~window ~points), tree))
+      in
+      (window, streams))
+    QCheck2.Gen.(pair (int_bound 1_000_000) (int_bound 5))
+
+let prop_kernel_matches_oracle =
+  qcheck_case ~count:300
+    "bucketing kernel = per-window scan (epochs, rates, conservation)"
+    boundary_case_gen (fun (window, streams) ->
+      List.for_all
+        (fun (trace, tree) ->
+          let count = Epochs.epoch_count trace ~window in
+          List.equal Tree.equal
+            (Epochs.epochs trace tree ~window)
+            (Oracle.epochs trace tree ~window)
+          && List.for_all
+               (fun index ->
+                 Tree.equal
+                   (Epochs.rates trace tree ~window ~index)
+                   (Oracle.rates trace tree ~window ~index))
+               [ 0; count - 1; count; count + 2 ]
+          && Epochs.conservation_check trace tree ~window
+             = Oracle.conservation_check trace ~window)
+        streams)
+
+let prop_multi_matches_oracle =
+  qcheck_case ~count:200 "bucketing kernel = per-window scan (epochs_multi)"
+    boundary_case_gen (fun (window, streams) ->
+      List.equal (List.equal Tree.equal)
+        (Epochs.epochs_multi streams ~window)
+        (Oracle.epochs_multi streams ~window))
+
+(* Traces with heavy ties: few distinct times, nodes and clients, and
+   some streams sharing events outright. *)
+let merge_case_gen =
+  QCheck2.Gen.map
+    (fun seed ->
+      let rng = Rng.create (1 + seed) in
+      let events () =
+        List.init (Rng.int rng 30) (fun _ ->
+            ev (float_of_int (Rng.int rng 6) /. 4.) (Rng.int rng 3)
+              (Rng.int rng 2))
+      in
+      let shared = events () in
+      List.init (Rng.int rng 5) (fun _ ->
+          Trace.of_events
+            (if Rng.int rng 3 = 0 then shared @ events () else events ())))
+    (QCheck2.Gen.int_bound 1_000_000)
+
+let prop_merge_matches_oracle =
+  qcheck_case ~count:300 "k-way merge = concat and polymorphic sort"
+    merge_case_gen (fun ts ->
+      Trace.events (Trace.merge_all ts) = Oracle.merge_all ts
+      && List.for_all
+           (fun t -> Trace.events t = Oracle.sort (Trace.events t))
+           ts
+      &&
+      match ts with
+      | a :: b :: _ ->
+          Trace.events (Trace.merge a b) = Oracle.merge_all [ a; b ]
+      | _ -> true)
+
+let prop_filter_matches_list =
+  qcheck_case "filter = List.filter on the events" merge_case_gen (fun ts ->
+      let t = Trace.merge_all ts in
+      let p e = e.Trace.node <> 1 in
+      Trace.events (Trace.filter p t) = List.filter p (Trace.events t))
+
 (* --- changed_nodes (epoch diffing for the incremental engine) --- *)
 
 let test_changed_nodes_identity () =
@@ -294,6 +520,16 @@ let () =
           Alcotest.test_case "end to end" `Slow test_end_to_end_rates;
           prop_aggregation_conserves_requests;
           prop_epochs_cover_trace;
+          Alcotest.test_case "boundary final event" `Quick
+            test_boundary_final_event;
+        ] );
+      ( "oracle",
+        [
+          Alcotest.test_case "boundary windows" `Quick test_boundary_windows;
+          prop_kernel_matches_oracle;
+          prop_multi_matches_oracle;
+          prop_merge_matches_oracle;
+          prop_filter_matches_list;
         ] );
       ( "changed nodes",
         [
