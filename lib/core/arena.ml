@@ -16,11 +16,11 @@
 
    Arenas are single-writer: the parallel sibling fan-out gives each
    domain a private arena and {!graft}s the results back into the
-   parent's arena after the join, preserving sharing via an old->new
-   index map. Long-lived arenas (the incremental memos) reclaim dead
+   parent's arena after the join, preserving sharing through forwarding
+   records left in the consumed source. Long-lived arenas (the incremental memos) reclaim dead
    cells with the {!compact_begin}/{!compact_root}/{!compact_commit}
-   protocol: copy every live root into a fresh arena, rewrite the
-   stored indices, swap the storage. *)
+   protocol: copy every live root into the domain's reusable target
+   arena, rewrite the stored indices, copy the compacted cells back. *)
 
 type t = {
   mutable fst_ : int array;
@@ -106,61 +106,84 @@ let count t root =
   iter t (fun _ _ -> incr n) root;
   !n
 
-(* Copy the cell graph reachable from [root] in [src] into [dst],
-   preserving sharing through [map] (0 = not yet copied; cell 0 maps to
-   itself). Iterative two-phase traversal: a cat cell is revisited
-   (encoded as [lnot i]) once both children have been copied. *)
-let graft ~src ~dst ~map root =
+(* Grafting moves cells out of [src] Cheney-style: a copied cell is
+   overwritten by a forwarding record, fst = 0 and snd = its index in
+   [dst]. No live cell has fst = 0 (a leaf's is negative, a cat's left
+   child is a non-empty index), so the mark is unambiguous, and sharing
+   survives without any side map.
+
+   Compaction state, one per domain ({!Domain.DLS}): the traversal
+   stack and the target arena survive from one compaction (or graft) to
+   the next, so a steady-state compaction allocates nothing; storage
+   grows only when more cells are live than in any compaction before. *)
+type compaction = { mutable stack : int array; target : t }
+
+let compactor =
+  Domain.DLS.new_key (fun () -> { stack = Array.make 64 0; target = create () })
+
+let[@inline never] grow_stack c =
+  let s' = Array.make (2 * Array.length c.stack) 0 in
+  Array.blit c.stack 0 s' 0 (Array.length c.stack);
+  c.stack <- s'
+
+let[@inline] spush c sp v =
+  if sp >= Array.length c.stack then grow_stack c;
+  c.stack.(sp) <- v
+
+let[@inline] forward src i k =
+  src.fst_.(i) <- 0;
+  src.snd_.(i) <- k
+
+(* Iterative two-phase traversal on [c]'s stack: a cat cell is
+   revisited (encoded as [lnot i]) once both children have been moved.
+   The stack is empty again on return. *)
+let graft_with c ~src ~dst root =
   if root = 0 then 0
   else begin
-    let stack = ref (Array.make 64 0) in
-    let sp = ref 0 in
-    let push_s v =
-      if !sp >= Array.length !stack then begin
-        let s' = Array.make (2 * Array.length !stack) 0 in
-        Array.blit !stack 0 s' 0 !sp;
-        stack := s'
-      end;
-      !stack.(!sp) <- v;
-      incr sp
-    in
-    push_s root;
+    let sp = ref 1 in
+    spush c 0 root;
     while !sp > 0 do
       decr sp;
-      let tagged = !stack.(!sp) in
+      let tagged = c.stack.(!sp) in
       if tagged < 0 then begin
-        (* second visit of a cat cell: children are mapped *)
+        (* second visit of a cat cell: both children are forwarded *)
         let i = lnot tagged in
-        if map.(i) = 0 then
-          map.(i) <- push dst map.(src.fst_.(i)) map.(src.snd_.(i))
+        let l = src.fst_.(i) in
+        if l <> 0 then begin
+          let r = src.snd_.(i) in
+          forward src i (push dst src.snd_.(l) src.snd_.(r))
+        end
       end
       else begin
         let i = tagged in
-        if i <> 0 && map.(i) = 0 then begin
-          let a = src.fst_.(i) in
-          if a < 0 then map.(i) <- push dst a src.snd_.(i)
+        let a = src.fst_.(i) in
+        if i <> 0 && a <> 0 then begin
+          if a < 0 then forward src i (push dst a src.snd_.(i))
           else begin
-            push_s (lnot i);
-            push_s a;
-            push_s src.snd_.(i)
+            spush c !sp (lnot i);
+            spush c (!sp + 1) a;
+            spush c (!sp + 2) src.snd_.(i);
+            sp := !sp + 3
           end
         end
       end
     done;
-    map.(root)
+    src.snd_.(root)
   end
 
-type compaction = { target : t; map : int array }
+let graft ~src ~dst root = graft_with (Domain.DLS.get compactor) ~src ~dst root
 
-let compact_begin t =
-  {
-    target = create ~capacity:(max 1024 (t.len / 2)) ();
-    map = Array.make t.len 0;
-  }
+let compact_begin _t =
+  let c = Domain.DLS.get compactor in
+  clear c.target;
+  c
 
-let compact_root t c root = graft ~src:t ~dst:c.target ~map:c.map root
+let compact_root t c root = graft_with c ~src:t ~dst:c.target root
 
+(* Copy back rather than swap: [t] keeps its own (already large enough)
+   storage and the compactor keeps its target for the next round. *)
 let compact_commit t c =
-  t.fst_ <- c.target.fst_;
-  t.snd_ <- c.target.snd_;
-  t.len <- c.target.len
+  let n = c.target.len in
+  Array.blit c.target.fst_ 0 t.fst_ 0 n;
+  Array.blit c.target.snd_ 0 t.snd_ 0 n;
+  t.len <- n

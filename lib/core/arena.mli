@@ -9,7 +9,7 @@
     under any number of later cells).
 
     Arenas are single-writer. The parallel sibling fan-out gives each
-    domain a private arena and copies results back with {!graft};
+    domain a private arena and moves results back with {!graft};
     long-lived arenas (incremental memos) reclaim dead cells with the
     {!compact_begin}/{!compact_root}/{!compact_commit} protocol. *)
 
@@ -50,24 +50,40 @@ val to_list : t -> int -> (int * int) list
 val count : t -> int -> int
 (** Number of elements in a placement. O(length). *)
 
-val graft : src:t -> dst:t -> map:int array -> int -> int
-(** [graft ~src ~dst ~map l] copies the cells of [l] from [src] into
-    [dst] and returns the new handle. [map] must have length
-    [length src] and start zeroed; it accumulates the old->new index
-    mapping so that repeated grafts through the same map preserve
-    sharing across placements. *)
+val graft : src:t -> dst:t -> int -> int
+(** [graft ~src ~dst l] moves the cells of [l] from [src] into [dst]
+    and returns the new handle. Moved cells are left as forwarding
+    records, so repeated grafts out of one [src] preserve sharing
+    across placements (a shared cell is moved once), but [src] may
+    afterwards only be passed to further grafts, never read.
+    Allocation-free apart from growing [dst] (the traversal stack is
+    the calling domain's, reused). *)
 
-(** {1 Compaction} *)
+(** {1 Compaction}
+
+    Each domain owns one compactor: a traversal stack and a target
+    arena, both reused from one compaction to the next. Live cells are
+    grafted into the target and copied back; sharing is kept through
+    forwarding records left in the compacted arena itself, so no side
+    map is needed. A steady-state compaction therefore allocates
+    nothing; storage grows only when more cells are live than in any
+    compaction before on that domain. One compaction per domain may be
+    in progress at a time (begin, roots, commit — no interleaving), and
+    the arena must not be read between {!compact_begin} and
+    {!compact_commit}. *)
 
 type compaction
 
 val compact_begin : t -> compaction
-(** Start compacting: a fresh target arena plus a sharing map. *)
+(** Start compacting [t] with the calling domain's compactor (its
+    target is emptied). *)
 
 val compact_root : t -> compaction -> int -> int
 (** Copy one live placement into the target, returning its new handle.
-    Call once per stored handle and store the result. *)
+    Call once per stored handle and store the result; sharing between
+    roots is preserved. *)
 
 val compact_commit : t -> compaction -> unit
-(** Swap the compacted storage into [t]. Handles not passed through
-    {!compact_root} are dead after this. *)
+(** Copy the compacted cells back into [t]'s own storage (which keeps
+    its capacity). Handles not passed through {!compact_root} are dead
+    after this. *)

@@ -4,7 +4,7 @@ let basic ?(create = 0.) ?(delete = 0.) () =
   if create < 0. || delete < 0. then invalid_arg "Cost.basic: negative cost";
   { create; delete }
 
-let basic_cost t ~servers ~reused ~pre_existing =
+let[@inline] basic_cost t ~servers ~reused ~pre_existing =
   if reused > servers || reused > pre_existing || reused < 0 || servers < 0
   then invalid_arg "Cost.basic_cost: inconsistent counts";
   float_of_int servers

@@ -731,11 +731,10 @@ and pnode pc tree ~modes ~prune ~domains ~depth j =
     in
     List.iter
       (fun (ext, child_arena) ->
-        let map = Array.make (Arena.length child_arena) 0 in
         let len = Int_table.length ext in
         for i = 0 to len - 1 do
           Int_table.set_val ext i
-            (Arena.graft ~src:child_arena ~dst:pc.arena ~map
+            (Arena.graft ~src:child_arena ~dst:pc.arena
                (Int_table.val_at ext i))
         done;
         pmerge_step pc ~modes ~prune s ext)

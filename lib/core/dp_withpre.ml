@@ -11,6 +11,8 @@ let t_tables = Stats_counters.timer "dp_withpre.tables"
 let c_memo_hits = Stats_counters.counter "dp_withpre.memo_hits"
 let c_memo_partial = Stats_counters.counter "dp_withpre.memo_partial"
 let c_memo_misses = Stats_counters.counter "dp_withpre.memo_misses"
+let c_memo_compactions = Stats_counters.counter "dp_withpre.memo_compactions"
+let c_memo_recycled = Stats_counters.counter "dp_withpre.memo_recycled"
 
 (* Structured observability: per-node solve and child-merge spans (with
    memo hit/partial/miss tags) plus a log2 histogram of per-node merge
@@ -92,6 +94,20 @@ let iter_cells t f =
     done
   done
 
+(* Per-depth scratch buffers. The memo-less fold at node j (depth d)
+   only ever needs three live tables at depth d — the accumulator, the
+   merge target, and the current child's extension — while the child's
+   own table lives one depth down; so a slot of three pooled tables per
+   depth makes the whole solve reuse O(height) buffers instead of
+   allocating O(N) tables. The memo path uses the same slots for its
+   transient tables (a node's start cell, a child's extension) and
+   keeps them from one solve to the next; only cached merges outlive a
+   solve, and those come from the memo's recycled storage instead. *)
+type slot = { mutable s_acc : table; mutable s_alt : table; s_ext : table }
+
+let fresh_slot () =
+  { s_acc = fresh_table 0 0; s_alt = fresh_table 0 0; s_ext = fresh_table 0 0 }
+
 (* Incremental re-solving: a per-node cache of every prefix of the
    child-merge fold, keyed by a fingerprint chain. The table obtained
    after merging children c_1..c_i into node j's start cell is a pure
@@ -107,19 +123,33 @@ let iter_cells t f =
    solves is safe. Entries unused for two consecutive solves are
    evicted, bounding the cache to roughly two epochs' tables.
 
-   Cached placements live in the memo's own arena; after eviction the
-   arena is compacted (live handles copied, sharing preserved) once it
-   has grown past [compact_at], so a long-running engine cannot leak
-   dead placement cells across epochs. *)
+   Storage is recycled rather than left to the GC. An evicted table
+   goes onto a free list by capacity class (class k holds backing
+   arrays of exactly 2^k cells), and every cached merge draws its
+   table from there before allocating a fresh one. A class's free list
+   never holds more tables than the memo caches in that class (the
+   surplus goes to the GC), so recycled storage stays bounded by the
+   cache it serves however long the engine runs. Cached placements
+   live in the memo's own arena; after eviction the arena is compacted
+   (live handles copied, sharing preserved) once it has grown past
+   [compact_at], through the domain's reusable {!Arena} compactor, so
+   a long-running engine neither leaks dead placement cells across
+   epochs nor allocates to reclaim them. *)
 type memo = {
   mutable gen : int;
   mutable memo_w : int; (* tables depend on w; reset when it changes *)
   prefixes : (int * int64, memo_entry) Hashtbl.t;
   m_arena : Arena.t;
   mutable compact_at : int;
+  free : table array array; (* per capacity class, a stack of tables *)
+  free_len : int array; (* live prefix of each [free] stack *)
+  cached : int array; (* per class, tables held by [prefixes] *)
+  mutable m_slots : slot array; (* the solves' per-depth scratch *)
 }
 
 and memo_entry = { mutable stamp : int; entry_table : table }
+
+let size_classes = Sys.int_size
 
 let memo () =
   {
@@ -128,30 +158,74 @@ let memo () =
     prefixes = Hashtbl.create 512;
     m_arena = Arena.create ();
     compact_at = 1 lsl 16;
+    free = Array.make size_classes [||];
+    free_len = Array.make size_classes 0;
+    cached = Array.make size_classes 0;
+    m_slots = [||];
   }
+
+(* Smallest k with 2^k >= cells. *)
+let size_class cells =
+  let k = ref 0 in
+  while 1 lsl !k < cells do
+    incr k
+  done;
+  !k
+
+(* Fills vacated free-list slots, so they hold on to nothing. *)
+let no_table = { pre_cap = 0; new_cap = 0; flows = [||]; placed = [||] }
+
+(* A table for a cached merge: a recycled one of the right class when
+   the free list has it, else fresh storage rounded up to the class. *)
+let memo_table m pre_cap new_cap =
+  let k = size_class ((pre_cap + 1) * (new_cap + 1)) in
+  m.cached.(k) <- m.cached.(k) + 1;
+  let n = m.free_len.(k) in
+  if n = 0 then
+    {
+      pre_cap;
+      new_cap;
+      flows = Array.make (1 lsl k) (-1);
+      placed = Array.make (1 lsl k) 0;
+    }
+  else begin
+    m.free_len.(k) <- n - 1;
+    let t = m.free.(k).(n - 1) in
+    m.free.(k).(n - 1) <- no_table;
+    reset_table t pre_cap new_cap;
+    Stats_counters.incr c_memo_recycled;
+    t
+  end
+
+let recycle m t =
+  let k = size_class (Array.length t.flows) in
+  m.cached.(k) <- m.cached.(k) - 1;
+  let n = m.free_len.(k) in
+  if n < m.cached.(k) then begin
+    if n = Array.length m.free.(k) then begin
+      let grown = Array.make (max 8 (2 * n)) no_table in
+      Array.blit m.free.(k) 0 grown 0 n;
+      m.free.(k) <- grown
+    end;
+    m.free.(k).(n) <- t;
+    m.free_len.(k) <- n + 1
+  end
+
+let clear_free m =
+  Array.fill m.free 0 size_classes [||];
+  Array.fill m.free_len 0 size_classes 0;
+  Array.fill m.cached 0 size_classes 0
 
 let memo_size m = Hashtbl.length m.prefixes
 
 let fp_seed client =
   Tree.combine_fingerprints 0x2545F4914F6CDD1DL (Int64.of_int client)
 
-(* Per-depth scratch buffers for the memo-less path. The fold at node
-   j (depth d) only ever needs three live tables at depth d — the
-   accumulator, the merge target, and the current child's extension —
-   while the child's own table lives one depth down; so a slot of
-   three pooled tables per depth makes the whole solve reuse O(height)
-   buffers instead of allocating O(N) tables. Cached memo tables must
-   outlive the solve and are allocated fresh instead. *)
-type slot = { mutable s_acc : table; mutable s_alt : table; s_ext : table }
-
 type ctx = {
   arena : Arena.t;
   mutable slots : slot array; (* indexed by depth; grown on demand *)
   memo : (memo * int64 array) option;
 }
-
-let fresh_slot () =
-  { s_acc = fresh_table 0 0; s_alt = fresh_table 0 0; s_ext = fresh_table 0 0 }
 
 let slot ctx depth =
   let n = Array.length ctx.slots in
@@ -239,6 +313,14 @@ let convolve ctx ~w ~into left ext =
   Replica_obs.Histogram.observe h_products !products;
   Stats_counters.record_max c_peak !live
 
+(* The message closure is only built when the source logs at debug
+   level, so the merge paths allocate nothing for it otherwise. *)
+let log_merge c left ext =
+  if Logs.Src.level src = Some Logs.Debug then
+    Log.debug (fun m ->
+        m "merge child %d: left %dx%d, child %dx%d" c (left.pre_cap + 1)
+          (left.new_cap + 1) (ext.pre_cap + 1) (ext.new_cap + 1))
+
 (* Per-node spans only for subtrees of at least this many nodes. The
    flat tables made small-subtree merges so cheap that a span per node
    (two clock reads, two GC probes, an args list) dominated them — the
@@ -271,22 +353,22 @@ let rec table_of ctx tree ~w ~depth j =
 
 and node_table ctx tree ~w ~depth j =
   let client = Tree.client_load tree j in
+  (* The start cell: node j's own clients, nothing placed below it. *)
+  let s = slot ctx depth in
+  reset_table s.s_acc 0 0;
+  if client <= w then begin
+    s.s_acc.flows.(0) <- client;
+    s.s_acc.placed.(0) <- Arena.empty
+  end;
   match ctx.memo with
   | None ->
-      let s = slot ctx depth in
-      reset_table s.s_acc 0 0;
-      if client <= w then begin
-        s.s_acc.flows.(0) <- client;
-        s.s_acc.placed.(0) <- Arena.empty
-      end;
       let children = Tree.children_array tree j in
       for i = 0 to Array.length children - 1 do
         merge_into ctx tree ~w ~depth s children.(i)
       done;
       s.s_acc
   | Some (m, fps) -> (
-      let start = fresh_table 0 0 in
-      if client <= w then start.flows.(0) <- client;
+      let start = s.s_acc in
       let arr = Tree.children_array tree j in
       match arr with
       | [||] -> start
@@ -319,7 +401,7 @@ and node_table ctx tree ~w ~depth j =
             Stats_counters.incr
               (if !best > 0 then c_memo_partial else c_memo_misses);
             for i = !best + 1 to k do
-              acc := merge_fresh ctx tree ~w ~depth !acc arr.(i - 1);
+              acc := merge_cached ctx m tree ~w ~depth !acc arr.(i - 1);
               Hashtbl.replace m.prefixes (j, keys.(i))
                 { stamp = m.gen; entry_table = !acc }
             done
@@ -335,9 +417,7 @@ and merge_into ctx tree ~w ~depth s c =
   reset_table s.s_ext (sub.pre_cap + de) (sub.new_cap + 1 - de);
   extend ctx tree ~into:s.s_ext sub c;
   let left = s.s_acc and ext = s.s_ext in
-  Log.debug (fun m ->
-      m "merge child %d: left %dx%d, child %dx%d" c (left.pre_cap + 1)
-        (left.new_cap + 1) (ext.pre_cap + 1) (ext.new_cap + 1));
+  log_merge c left ext;
   let tracing =
     Span.enabled () && Tree.subtree_size tree c >= span_min_subtree
   in
@@ -357,23 +437,23 @@ and merge_into ctx tree ~w ~depth s c =
   s.s_alt <- s.s_acc;
   s.s_acc <- acc
 
-(* Memo merge: the result is cached across solves, so it gets fresh
-   storage; the transient extension still uses the depth slot. *)
-and merge_fresh ctx tree ~w ~depth left c =
+(* Memo merge: the result is cached across solves, so it is drawn from
+   the memo's table storage; the transient extension lives in the depth
+   slot's [s_ext], which nothing else touches until this merge ends. *)
+and merge_cached ctx m tree ~w ~depth left c =
   let sub = table_of ctx tree ~w ~depth:(depth + 1) c in
   let c_pre = Tree.is_pre_existing tree c in
   let de = if c_pre then 1 else 0 in
-  let ext = fresh_table (sub.pre_cap + de) (sub.new_cap + 1 - de) in
+  let ext = (slot ctx depth).s_ext in
+  reset_table ext (sub.pre_cap + de) (sub.new_cap + 1 - de);
   extend ctx tree ~into:ext sub c;
-  Log.debug (fun m ->
-      m "merge child %d: left %dx%d, child %dx%d" c (left.pre_cap + 1)
-        (left.new_cap + 1) (ext.pre_cap + 1) (ext.new_cap + 1));
+  log_merge c left ext;
   let tracing =
     Span.enabled () && Tree.subtree_size tree c >= span_min_subtree
   in
   if tracing then Span.begin_span "dp_withpre.merge";
   let merged =
-    fresh_table (left.pre_cap + ext.pre_cap) (left.new_cap + ext.new_cap)
+    memo_table m (left.pre_cap + ext.pre_cap) (left.new_cap + ext.new_cap)
   in
   convolve ctx ~w ~into:merged left ext;
   if tracing then
@@ -400,8 +480,78 @@ let compact_memo m =
         done)
       m.prefixes;
     Arena.compact_commit m.m_arena c;
+    Stats_counters.incr c_memo_compactions;
     m.compact_at <- max (1 lsl 16) (4 * Arena.length m.m_arena)
   end
+
+(* Algorithm 4: the cheapest root cell under Eq. 2. Plain loops over
+   the flat table and an inlined [consider], so scanning allocates only
+   the one [best] record (plus a boxed cost per improvement). Ties keep
+   the earlier candidate. *)
+type best = {
+  mutable found : bool;
+  mutable value : float;
+  mutable b_servers : int;
+  mutable b_reused : int;
+  mutable b_placed : int;
+  mutable root_used : bool;
+}
+
+let[@inline] consider b value ~servers ~reused ~placed ~root_used =
+  if (not b.found) || value < b.value then begin
+    b.found <- true;
+    b.value <- value;
+    b.b_servers <- servers;
+    b.b_reused <- reused;
+    b.b_placed <- placed;
+    b.root_used <- root_used
+  end
+
+let scan_root tree table ~cost =
+  let pre_total = Tree.num_pre_existing tree in
+  let root_pre = Tree.is_pre_existing tree (Tree.root tree) in
+  let b =
+    {
+      found = false;
+      value = 0.;
+      b_servers = 0;
+      b_reused = 0;
+      b_placed = Arena.empty;
+      root_used = false;
+    }
+  in
+  for e = 0 to table.pre_cap do
+    let base = e * (table.new_cap + 1) in
+    for n = 0 to table.new_cap do
+      let flow = table.flows.(base + n) in
+      if flow >= 0 then begin
+        let placed = table.placed.(base + n) in
+        if flow = 0 then begin
+          (* Solution without a root server … *)
+          consider b
+            (Cost.basic_cost cost ~servers:(e + n) ~reused:e
+               ~pre_existing:pre_total)
+            ~servers:(e + n) ~reused:e ~placed ~root_used:false;
+          (* … and, when the root is pre-existing, reusing it at zero
+             load (cheaper than deleting it when delete > 1). *)
+          if root_pre then
+            consider b
+              (Cost.basic_cost cost ~servers:(e + n + 1) ~reused:(e + 1)
+                 ~pre_existing:pre_total)
+              ~servers:(e + n + 1) ~reused:(e + 1) ~placed ~root_used:true
+        end
+        else begin
+          (* flow <= w by construction: the root must host a server. *)
+          let reused = e + if root_pre then 1 else 0 in
+          consider b
+            (Cost.basic_cost cost ~servers:(e + n + 1) ~reused
+               ~pre_existing:pre_total)
+            ~servers:(e + n + 1) ~reused ~placed ~root_used:true
+        end
+      end
+    done
+  done;
+  b
 
 let solve ?memo:m tree ~w ~cost =
   if w <= 0 then invalid_arg "Dp_withpre: w must be positive";
@@ -412,12 +562,13 @@ let solve ?memo:m tree ~w ~cost =
         if mm.memo_w <> w then begin
           Hashtbl.reset mm.prefixes;
           Arena.clear mm.m_arena;
+          clear_free mm;
           mm.memo_w <- w
         end;
         mm.gen <- mm.gen + 1;
         {
           arena = mm.m_arena;
-          slots = [||];
+          slots = mm.m_slots;
           memo = Some (mm, Tree.subtree_fingerprints tree);
         }
   in
@@ -427,50 +578,30 @@ let solve ?memo:m tree ~w ~cost =
   let table =
     Stats_counters.time t_tables (fun () -> table_of ctx tree ~w ~depth:0 root)
   in
-  let pre_total = Tree.num_pre_existing tree in
-  let root_pre = Tree.is_pre_existing tree root in
-  let best = ref None in
-  let consider value servers reused placed root_used =
-    match !best with
-    | Some (v, _, _, _, _) when v <= value -> ()
-    | _ -> best := Some (value, servers, reused, placed, root_used)
-  in
-  iter_cells table (fun e n flow placed ->
-      if flow = 0 then begin
-        (* Solution without a root server … *)
-        consider
-          (Cost.basic_cost cost ~servers:(e + n) ~reused:e
-             ~pre_existing:pre_total)
-          (e + n) e placed false;
-        (* … and, when the root is pre-existing, reusing it at zero load
-           (cheaper than deleting it when delete > 1). *)
-        if root_pre then
-          consider
-            (Cost.basic_cost cost ~servers:(e + n + 1) ~reused:(e + 1)
-               ~pre_existing:pre_total)
-            (e + n + 1) (e + 1) placed true
-      end
-      else begin
-        (* flow <= w by construction: the root must host a server. *)
-        let reused = e + if root_pre then 1 else 0 in
-        consider
-          (Cost.basic_cost cost ~servers:(e + n + 1) ~reused
-             ~pre_existing:pre_total)
-          (e + n + 1) reused placed true
-      end);
+  let best = scan_root tree table ~cost in
   let result =
-    match !best with
-    | None -> None
-    | Some (value, servers, reused, placed, root_used) ->
-        let nodes = Arena.nodes ctx.arena placed in
-        let nodes = if root_used then root :: nodes else nodes in
-        Some
-          { solution = Solution.of_nodes nodes; cost = value; servers; reused }
+    if not best.found then None
+    else
+      let nodes = Arena.nodes ctx.arena best.b_placed in
+      let nodes = if best.root_used then root :: nodes else nodes in
+      Some
+        {
+          solution = Solution.of_nodes nodes;
+          cost = best.value;
+          servers = best.b_servers;
+          reused = best.b_reused;
+        }
   in
   (match m with
   | Some mm ->
+      mm.m_slots <- ctx.slots;
       Hashtbl.filter_map_inplace
-        (fun _ e -> if mm.gen - e.stamp > 1 then None else Some e)
+        (fun _ e ->
+          if mm.gen - e.stamp > 1 then begin
+            recycle mm e.entry_table;
+            None
+          end
+          else Some e)
         mm.prefixes;
       compact_memo mm
   | None -> ());

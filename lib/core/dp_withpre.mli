@@ -35,11 +35,29 @@
     memo-less solve (cached tables are exact, not approximate; the only
     caveat is the ~2^-64 fingerprint-collision probability). Cache
     effectiveness is observable through the
-    [dp_withpre.memo_{hits,partial,misses}] counters; entries unused
-    for two consecutive solves are evicted. A memo must only be reused
-    across trees sharing one node-id space (epoch views derived by
-    {!Tree.with_clients} / {!Tree.with_pre_existing}); it resets itself
-    when [w] changes. *)
+    [dp_withpre.memo_{hits,partial,misses}] counters. A memo must only
+    be reused across trees sharing one node-id space (epoch views
+    derived by {!Tree.with_clients} / {!Tree.with_pre_existing}).
+
+    The memo owns its storage and recycles it, so a warm incremental
+    solve hands the GC little beyond its answer:
+    - {b eviction}: an entry unused for two consecutive solves is
+      evicted at the end of a solve;
+    - {b recycled tables}: an evicted table goes onto a free list by
+      capacity class (power-of-two cell counts), and cached merges draw
+      their tables from it before allocating
+      ([dp_withpre.memo_recycled] counts the draws). A class's free
+      list never outgrows the memo's live tables of that class;
+    - {b transient tables} (a node's start cell, a child's extension)
+      live in per-depth scratch slots kept from solve to solve;
+    - {b compaction}: cached placements live in the memo's own
+      {!Arena}; once it outgrows its threshold, the dead cells are
+      dropped through the domain's reusable compactor
+      ({!Arena.compact_begin}), whose buffers survive from one
+      compaction to the next ([dp_withpre.memo_compactions] counts
+      them);
+    - {b reset}: when [w] changes, the memo drops its tables, its free
+      lists and its arena cells. *)
 
 type result = {
   solution : Solution.t;

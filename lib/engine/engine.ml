@@ -215,30 +215,23 @@ let step t demand_tree =
   let demand = Tree.total_requests demand_tree in
   let size = Tree.size demand_tree in
   if tracing then Span.begin_span "engine.demand_diff";
-  let changed_list =
+  (* Mark the changed nodes, then close the marks over their root
+     paths in one parent sweep: the dirty set. *)
+  let marks =
     match t.prev with
-    | None -> List.init size Fun.id
-    | Some p -> Replica_trace.Epochs.changed_nodes p demand_tree
+    | None -> Array.make size true
+    | Some p -> Replica_trace.Epochs.changed_marks p demand_tree
   in
   t.prev <- Some demand_tree;
-  let dirty =
-    let seen = Array.make size false in
-    List.iter
-      (fun j ->
-        seen.(j) <- true;
-        List.iter
-          (fun a -> seen.(a) <- true)
-          (Tree.ancestors demand_tree j))
-      changed_list;
-    Array.fold_left (fun n b -> if b then n + 1 else n) 0 seen
+  let count_marks () =
+    Array.fold_left (fun n b -> if b then n + 1 else n) 0 marks
   in
+  let changed = count_marks () in
+  Tree.mark_ancestors demand_tree marks;
+  let dirty = count_marks () in
   if tracing then
     Span.end_span
-      ~args:
-        [
-          ("changed", Span.Int (List.length changed_list));
-          ("dirty", Span.Int dirty);
-        ]
+      ~args:[ ("changed", Span.Int changed); ("dirty", Span.Int dirty) ]
       ();
   if tracing then Span.begin_span "engine.policy";
   let servers_valid = Solution.is_valid demand_tree ~w:t.cfg.w t.placement in
@@ -332,7 +325,7 @@ let step t demand_tree =
     {
       Timeline.epoch;
       demand;
-      changed = List.length changed_list;
+      changed;
       dirty;
       reconfigured;
       staleness = t.staleness;

@@ -88,12 +88,18 @@ let epochs_multi streams ~window =
 let epochs trace tree ~window =
   List.map List.hd (epochs_multi [ (trace, tree) ] ~window)
 
-let changed_nodes prev next =
+let changed_marks prev next =
   if Tree.size prev <> Tree.size next then
     invalid_arg "Epochs: changed_nodes expects views of one network";
-  List.filter
-    (fun j -> Tree.clients prev j <> Tree.clients next j)
-    (List.init (Tree.size next) Fun.id)
+  Array.init (Tree.size next) (fun j -> not (Tree.same_clients prev next j))
+
+let changed_nodes prev next =
+  let marks = changed_marks prev next in
+  let acc = ref [] in
+  for j = Array.length marks - 1 downto 0 do
+    if marks.(j) then acc := j :: !acc
+  done;
+  !acc
 
 let conservation_check trace tree ~window =
   let _, _, grid =

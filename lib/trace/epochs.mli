@@ -46,6 +46,11 @@ val changed_nodes : Tree.t -> Tree.t -> Tree.node list
     trees derived from one network by {!Tree.with_clients}).
     @raise Invalid_argument if the trees disagree on size. *)
 
+val changed_marks : Tree.t -> Tree.t -> bool array
+(** The same set as {!changed_nodes}, as one mark per node id — the
+    form {!Tree.mark_ancestors} closes into the dirty set.
+    @raise Invalid_argument if the trees disagree on size. *)
+
 val conservation_check : Trace.t -> Tree.t -> window:float -> bool
 (** Debug helper: total events equal the sum over epochs of each epoch's
     raw (unrounded) counts — aggregation loses nothing. Used by tests. *)

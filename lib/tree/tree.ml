@@ -269,32 +269,38 @@ let subtree_demand t j =
    fingerprints), computed bottom-up in one postorder pass. The mixer is
    splitmix64's finalizer, whose avalanche makes accidental collisions
    across epoch-derived trees a ~2^-64 event — the soundness assumption
-   of the DP memo tables. *)
-let fp_mix z =
+   of the DP memo tables. Both steps inline, and the pass keeps its
+   running hash in a local, so the only boxed int64 per node is the one
+   stored in the result. *)
+let[@inline] fp_mix z =
   let open Int64 in
   let z = mul (logxor z (shift_right_logical z 30)) 0xbf58476d1ce4e5b9L in
   let z = mul (logxor z (shift_right_logical z 27)) 0x94d049bb133111ebL in
   logxor z (shift_right_logical z 31)
 
-let combine_fingerprints h x = fp_mix (Int64.logxor (Int64.mul h 0x9E3779B97F4A7C15L) x)
+let[@inline] combine_fingerprints h x =
+  fp_mix (Int64.logxor (Int64.mul h 0x9E3779B97F4A7C15L) x)
 
 let subtree_fingerprints t =
   let fps = Array.make (size t) 0L in
-  Array.iter
-    (fun j ->
-      let h = ref (fp_mix (Int64.of_int (Array.length t.clients.(j) + 1))) in
-      Array.iteri
-        (fun i r ->
-          h := combine_fingerprints !h (Int64.of_int r);
-          h := combine_fingerprints !h (Int64.of_int t.qos.(j).(i)))
-        t.clients.(j);
-      (match t.pre.(j) with
-      | None -> h := combine_fingerprints !h 0L
-      | Some m -> h := combine_fingerprints !h (Int64.of_int (m + 1)));
-      h := combine_fingerprints !h (Int64.of_int t.bw.(j));
-      Array.iter (fun c -> h := combine_fingerprints !h fps.(c)) t.children.(j);
-      fps.(j) <- !h)
-    t.post;
+  for p = 0 to Array.length t.post - 1 do
+    let j = t.post.(p) in
+    let clients = t.clients.(j) and qos = t.qos.(j) in
+    let h = ref (fp_mix (Int64.of_int (Array.length clients + 1))) in
+    for i = 0 to Array.length clients - 1 do
+      h := combine_fingerprints !h (Int64.of_int clients.(i));
+      h := combine_fingerprints !h (Int64.of_int qos.(i))
+    done;
+    (match t.pre.(j) with
+    | None -> h := combine_fingerprints !h 0L
+    | Some m -> h := combine_fingerprints !h (Int64.of_int (m + 1)));
+    h := combine_fingerprints !h (Int64.of_int t.bw.(j));
+    let children = t.children.(j) in
+    for i = 0 to Array.length children - 1 do
+      h := combine_fingerprints !h fps.(children.(i))
+    done;
+    fps.(j) <- !h
+  done;
   fps
 
 let ancestors t j =
@@ -302,6 +308,17 @@ let ancestors t j =
     if j = 0 then List.rev acc else up t.parents.(j) (t.parents.(j) :: acc)
   in
   up j []
+
+let mark_ancestors t marks =
+  if Array.length marks <> Array.length t.parents then
+    invalid_arg "Tree.mark_ancestors: marks length differs from tree size";
+  Array.iter
+    (fun j -> if j <> 0 && marks.(j) then marks.(t.parents.(j)) <- true)
+    t.post
+
+let same_clients a b j =
+  let ca = a.clients.(j) and cb = b.clients.(j) in
+  ca == cb || ca = cb
 
 let is_ancestor t ~anc ~desc =
   if desc = anc || desc = 0 then false

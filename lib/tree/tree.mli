@@ -189,6 +189,16 @@ val ancestors : t -> node -> node list
 val is_ancestor : t -> anc:node -> desc:node -> bool
 (** True iff [anc] lies strictly above [desc]. *)
 
+val mark_ancestors : t -> bool array -> unit
+(** [mark_ancestors t marks] closes [marks] (indexed by node) upwards in
+    place: every ancestor of a marked node becomes marked. One sweep
+    over the postorder, no allocation.
+    @raise Invalid_argument if [marks] is not of length [size t]. *)
+
+val same_clients : t -> t -> node -> bool
+(** [same_clients a b j] is [clients a j = clients b j], without
+    materializing either list. *)
+
 (** {1 Derivation} *)
 
 val with_pre_existing : t -> (node * int) list -> t

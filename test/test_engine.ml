@@ -80,6 +80,116 @@ let test_differential_power () =
     differential_run ~seed ~w:10 ~objective_of:objective
   done
 
+(* --- memo storage lifecycle at fleet size ---
+
+   The trace differentials above use trees far too small for the memo's
+   arena to reach its compaction threshold, so they never exercise
+   compaction or the recycling of evicted tables. This one re-solves a
+   fat 100-node tree under Poisson churn, each epoch starting from the
+   previous placement, for enough epochs that the memo compacts several
+   times, and switches w (the mode ladder, for power) half way so the
+   memo's reset runs too. Memo-less and incremental answers must agree
+   on every epoch. The power case thins the demand (fewer, lighter
+   clients on the same fat shape): its state space grows with the
+   carried pre-existing servers, and at the paper's full demand one
+   epoch takes seconds. *)
+
+let churn_epochs = 48
+
+let churn_views ?(profile = Generator.fat ()) seed =
+  let rng = Rng.create seed in
+  let tree = Generator.random rng profile in
+  let trace =
+    Replica_trace.Arrivals.poisson rng tree
+      ~horizon:(float_of_int churn_epochs)
+  in
+  Replica_trace.Epochs.epochs trace tree ~window:1.
+
+(* [solve ~memo epoch tree] answers one epoch, [tree] carrying the
+   pre-existing set; [pre epoch view solution] turns the placement
+   chosen at [epoch] on [view] into the next epoch's set. After each
+   epoch the previous epoch's tree is solved again through the memo:
+   its tables are still cached, and the end of this epoch's solve may
+   just have compacted them, so that answer is assembled from compacted
+   placements (Poisson churn alone rarely reuses a cached table). *)
+let memo_churn ?profile ~seed ~solve ~pre () =
+  let carried = ref [] and last = ref None in
+  List.iteri
+    (fun epoch view ->
+      let tree = Tree.with_pre_existing view !carried in
+      let agree what full inc =
+        let label check_what =
+          Printf.sprintf "seed %d epoch %d, %s: %s" seed epoch what check_what
+        in
+        match (full, inc) with
+        | None, None -> ()
+        | Some (full, full_values), Some (inc, inc_values) ->
+            check solution_testable (label "identical placement") full inc;
+            check (Alcotest.list cf) (label "identical objective values")
+              full_values inc_values
+        | Some _, None | None, Some _ -> Alcotest.fail (label "feasibility differs")
+      in
+      let full = solve ~memo:false epoch tree in
+      agree "this epoch" full (solve ~memo:true epoch tree);
+      Option.iter
+        (fun (e, t, answer) -> agree "previous epoch again" answer (solve ~memo:true e t))
+        !last;
+      last := Some (epoch, tree, full);
+      Option.iter (fun (sol, _) -> carried := pre epoch view sol) full)
+    (churn_views ?profile seed)
+
+let c_compactions = Stats_counters.counter "dp_withpre.memo_compactions"
+let c_recycled = Stats_counters.counter "dp_withpre.memo_recycled"
+
+let prop_memo_churn_cost =
+  qcheck_case ~count:3 "dp-withpre memo compacts and recycles, answers unchanged"
+    QCheck2.Gen.(int_range 1 1_000_000)
+    (fun seed ->
+      let cost = Cost.basic ~create:0.5 ~delete:0.25 () in
+      let memo = Dp_withpre.memo () in
+      let compactions = Stats_counters.value c_compactions
+      and recycled = Stats_counters.value c_recycled in
+      memo_churn ~seed
+        ~pre:(fun _ _ placement ->
+          List.map (fun j -> (j, 1)) (Solution.nodes placement))
+        ~solve:(fun ~memo:use epoch tree ->
+          let w = if epoch < churn_epochs / 2 then 10 else 12 in
+          let memo = if use then Some memo else None in
+          Option.map
+            (fun (r : Dp_withpre.result) -> (r.solution, [ r.cost ]))
+            (Dp_withpre.solve ?memo tree ~w ~cost))
+        ();
+      Stats_counters.value c_compactions - compactions >= 2
+      && Stats_counters.value c_recycled > recycled)
+
+let prop_memo_churn_power =
+  qcheck_case ~count:2 "dp-power memo under churn and a ladder change, answers unchanged"
+    QCheck2.Gen.(int_range 1 1_000_000)
+    (fun seed ->
+      let ladder epoch =
+        if epoch < churn_epochs / 2 then modes_2 else Modes.make [ 6; 12 ]
+      in
+      let memo = Dp_power.memo () in
+      let profile =
+        { (Generator.fat ()) with client_probability = 0.2; max_requests = 2 }
+      in
+      memo_churn ~profile ~seed
+        ~pre:(fun epoch view placement ->
+          let modes = ladder epoch in
+          List.map
+            (fun (j, load) -> (j, Modes.mode_of_load modes load))
+            (Solution.evaluate view placement).Solution.loads)
+        ~solve:(fun ~memo:use epoch tree ->
+          let modes = ladder epoch in
+          let memo = if use then Some memo else None in
+          Option.map
+            (fun (r : Dp_power.result) -> (r.solution, [ r.power; r.cost ]))
+            (Dp_power.solve tree ~modes
+               ~power:(Power.paper_exp3 ~modes)
+               ~cost:(Cost.paper_cheap ~modes:2) ?memo ()))
+        ();
+      true)
+
 (* --- unit behaviour --- *)
 
 let drifting_demands tree seed epochs =
@@ -192,6 +302,8 @@ let () =
             test_differential_cost;
           Alcotest.test_case "power mode: 20 trace runs" `Slow
             test_differential_power;
+          prop_memo_churn_cost;
+          prop_memo_churn_power;
         ] );
       ( "engine",
         [

@@ -284,6 +284,54 @@ let test_generate_validation () =
       { base with F.servers = 5 };
     ]
 
+(* The fleet's shape: fat 100-node shards under Poisson churn, long
+   enough for every shard's dp-withpre memo to compact and recycle
+   tables. The compaction buffers are per domain, so spreading the
+   shards over two domains must not change a single placement. *)
+let prop_memo_domains =
+  qcheck_case ~count:2 "fat shards: identical placements at 1 vs 2 domains"
+    QCheck2.Gen.(int_range 1 1_000_000)
+    (fun seed ->
+      let forest =
+        F.generate
+          {
+            F.trees = 4;
+            objects = 4;
+            servers = 200;
+            profile = Generator.fat ();
+            seed;
+          }
+      in
+      let grid =
+        FT.epochs (FT.generate forest ~horizon:30. ~seed FT.Poisson) forest
+          ~window:1.
+      in
+      let compactions =
+        Stats_counters.counter "dp_withpre.memo_compactions"
+      in
+      let before = Stats_counters.value compactions in
+      let run domains =
+        let e =
+          FE.create forest { FE.engine = ecfg; coupling = false; domains }
+        in
+        List.map
+          (fun views ->
+            ignore (FE.step e views);
+            FE.placements e)
+          grid
+      in
+      let one = run 1 and two = run 2 in
+      List.iteri
+        (fun epoch (p1, p2) ->
+          Array.iteri
+            (fun o sol ->
+              check solution_testable
+                (Printf.sprintf "seed %d epoch %d shard %d" seed epoch o)
+                sol p2.(o))
+            p1)
+        (List.combine one two);
+      Stats_counters.value compactions > before)
+
 let () =
   Alcotest.run "forest"
     [
@@ -297,6 +345,7 @@ let () =
         [
           Alcotest.test_case "decoupled bit-identity" `Quick
             test_decoupled_bit_identity;
+          prop_memo_domains;
         ] );
       ( "trace",
         [

@@ -79,6 +79,25 @@ let test_ancestors () =
   check cb "3 not anc of 3" false (Tree.is_ancestor t ~anc:3 ~desc:3);
   check cb "3 not anc of 1" false (Tree.is_ancestor t ~anc:3 ~desc:1)
 
+let test_mark_ancestors () =
+  let t = sample () in
+  let n = Tree.size t in
+  (* Every subset of nodes: the sweep's closure equals the union of
+     each marked node with its ancestor list. *)
+  for mask = 0 to (1 lsl n) - 1 do
+    let marks = Array.init n (fun j -> (mask lsr j) land 1 = 1) in
+    let expected = Array.copy marks in
+    Array.iteri
+      (fun j m ->
+        if m then List.iter (fun a -> expected.(a) <- true) (Tree.ancestors t j))
+      marks;
+    Tree.mark_ancestors t marks;
+    check (Alcotest.array cb) (Printf.sprintf "mask %d" mask) expected marks
+  done;
+  Alcotest.check_raises "length"
+    (Invalid_argument "Tree.mark_ancestors: marks length differs from tree size")
+    (fun () -> Tree.mark_ancestors t [| true |])
+
 let test_with_pre_existing () =
   let t = sample () in
   let t' = Tree.with_pre_existing t [ (2, 2); (3, 1) ] in
@@ -157,6 +176,7 @@ let () =
           Alcotest.test_case "orders" `Quick test_traversal;
           Alcotest.test_case "subtree metrics" `Quick test_subtree_metrics;
           Alcotest.test_case "ancestors" `Quick test_ancestors;
+          Alcotest.test_case "mark_ancestors" `Quick test_mark_ancestors;
         ] );
       ( "derivation",
         [
