@@ -40,6 +40,8 @@ let t_enumerate = Stats_counters.timer "dp_power.enumerate"
 let c_memo_hits = Stats_counters.counter "dp_power.memo_hits"
 let c_memo_partial = Stats_counters.counter "dp_power.memo_partial"
 let c_memo_misses = Stats_counters.counter "dp_power.memo_misses"
+let c_memo_compactions = Stats_counters.counter "dp_power.memo_compactions"
+let c_memo_recycled = Stats_counters.counter "dp_power.memo_recycled"
 
 (* Structured observability (replicaml.obs): per-node spans nest the
    child-merge and prune phases under each node's solve, and the
@@ -222,6 +224,21 @@ let prune_dominated ~m tbl =
     result
   end
 
+(* Per-depth scratch buffers of the packed path: the fold at depth d
+   needs the accumulator and its double buffer, the current child's
+   extension, and two prune scratches (count-group -> minimal key, and
+   the compacted output). All five are reused across every node at
+   that depth, so a whole solve touches O(height) tables and the merge
+   inner loop allocates zero GC words — [clear] keeps backing
+   storage. *)
+type pslot = {
+  mutable p_acc : Int_table.t;
+  mutable p_alt : Int_table.t;
+  mutable p_ext : Int_table.t;
+  p_best : Int_table.t;
+  mutable p_tmp : Int_table.t;
+}
+
 (* Incremental re-solving (same device as Dp_withpre): a memo caches
    every extended child table keyed by the child's subtree fingerprint,
    and every prefix of every node's child-merge fold keyed by a
@@ -234,9 +251,16 @@ let prune_dominated ~m tbl =
    A memo caches tables in whichever representation the instance
    resolves to; the packed layout's field widths are part of the memo
    key, so a layout change (e.g. the mode ladder or tree size changed)
-   resets the cache rather than mixing incomparable keys. Packed
-   placements live in the memo's arena, compacted after eviction once
-   it outgrows [compact_at]. *)
+   resets the cache rather than mixing incomparable keys.
+
+   On the packed path the memo is a lookup hook inside the one
+   traversal ([pnode]): every table is built in the per-depth scratch
+   slots, which the memo keeps from one solve to the next, and the
+   cache holds copies of the slots' results. A copy's storage comes
+   from the memo's {!Class_pool}, which evicted tables feed, so a warm
+   re-solve hands the GC little beyond its answer. Packed placements
+   live in the memo's arena, compacted after eviction once it outgrows
+   [compact_at]. *)
 type tbl_repr = Twide of (int * int) Clist.t Tbl.t | Tpacked of Int_table.t
 
 type memo = {
@@ -249,6 +273,8 @@ type memo = {
   ext_cache : (int * int64, entry) Hashtbl.t;
   m_arena : Arena.t;
   mutable compact_at : int;
+  pool : Int_table.t Class_pool.t; (* recycled storage of evicted tables *)
+  mutable m_pslots : pslot array; (* the solves' per-depth scratch *)
 }
 
 and entry = { mutable stamp : int; table : tbl_repr }
@@ -262,20 +288,82 @@ let memo () =
     ext_cache = Hashtbl.create 512;
     m_arena = Arena.create ();
     compact_at = 1 lsl 16;
+    pool =
+      Class_pool.create
+        ~fresh:(fun k -> Int_table.create ~capacity:(1 lsl k) ())
+        ~cells:Int_table.capacity ~recycled:c_memo_recycled;
+    m_pslots = [||];
   }
+
+(* A cached copy of a scratch table, in storage from the pool (whose
+   classes count dense capacity, which [Int_table.create] makes at
+   least 8). *)
+let cache_copy mm src =
+  let t = Class_pool.take mm.pool (max 8 (Int_table.length src)) in
+  Int_table.assign ~dst:t src;
+  t
 
 let memo_size m = Hashtbl.length m.prefixes + Hashtbl.length m.ext_cache
 
 let fp_seed client =
   Tree.combine_fingerprints 0x9E6C63D0876A9A35L (Int64.of_int client)
 
-let wide_entry = function
-  | { table = Twide t; _ } -> Some t
-  | { table = Tpacked _; _ } -> None
+let is_packed = function Tpacked _ -> true | Twide _ -> false
 
-let packed_entry = function
-  | { table = Tpacked t; _ } -> Some t
-  | { table = Twide _; _ } -> None
+(* Per-node spans only for subtrees of at least this many nodes —
+   same rationale as [Dp_withpre.span_min_subtree]: the packed kernels
+   made small-subtree merges cheaper than the span bookkeeping. *)
+let span_min_subtree = 16
+
+let traced tree j =
+  Span.enabled () && Tree.subtree_size tree j >= span_min_subtree
+
+(* A node's memo outcome, tagged on its own span only: when the span
+   was skipped, [Span.add_arg] would land on an enclosing one. *)
+let tag_memo tree j ~best ~k =
+  if traced tree j then
+    Span.add_arg "memo"
+      (Span.Str (if best = k then "hit" else if best > 0 then "partial" else "miss"))
+
+(* The memo lookups, shared by both representations ([packed] selects
+   the usable entries). [resume] builds node j's fold-prefix keys
+   k_0 = mix(load j), k_i = combine(k_{i-1}, fp(c_i)) and finds the
+   longest cached prefix: the keys, its length, and its table. *)
+let resume mm fps tree j children ~packed =
+  let k = Array.length children in
+  let keys = Array.make (k + 1) (fp_seed (Tree.client_load tree j)) in
+  for i = 1 to k do
+    keys.(i) <- Tree.combine_fingerprints keys.(i - 1) fps.(children.(i - 1))
+  done;
+  let best = ref k and hit = ref None in
+  while !best > 0 && Option.is_none !hit do
+    match Hashtbl.find_opt mm.prefixes (j, keys.(!best)) with
+    | Some e when is_packed e.table = packed ->
+        e.stamp <- mm.gen;
+        hit := Some e.table
+    | Some _ | None -> decr best
+  done;
+  if !best > 0 && !best < k then Stats_counters.incr c_memo_partial;
+  tag_memo tree j ~best:!best ~k;
+  (keys, !best, !hit)
+
+(* Child c's cached extension, if any. A hit costs one probe instead of
+   a subtree of work; its zero-length span keeps the skipped subtree
+   visible in the trace. *)
+let ext_lookup mm fps c ~packed =
+  match Hashtbl.find_opt mm.ext_cache (c, fps.(c)) with
+  | Some e when is_packed e.table = packed ->
+      e.stamp <- mm.gen;
+      Stats_counters.incr c_memo_hits;
+      if Span.enabled () then begin
+        Span.begin_span "dp_power.memo_hit";
+        Span.end_span ~args:[ ("node", Span.Int c) ] ()
+      end;
+      Some e.table
+  | Some _ | None ->
+      Stats_counters.incr c_memo_misses;
+      None
+
 (* ------------------------------------------------------------------ *)
 (* Wide (int array / Clist / Hashtbl) fallback path.                  *)
 (* ------------------------------------------------------------------ *)
@@ -286,14 +374,8 @@ let packed_entry = function
    function of its subtree and is built sequentially inside its domain,
    and the reduction over child tables below keeps the sequential
    child order — so the result is bit-identical to [domains = 1]. *)
-(* Per-node spans only for subtrees of at least this many nodes —
-   same rationale as [Dp_withpre.span_min_subtree]: the packed kernels
-   made small-subtree merges cheaper than the span bookkeeping. *)
-let span_min_subtree = 16
-
 let rec table_of ctx tree ~modes ~prune ~domains j =
-  if not (Span.enabled () && Tree.subtree_size tree j >= span_min_subtree)
-  then node_table ctx tree ~modes ~prune ~domains j
+  if not (traced tree j) then node_table ctx tree ~modes ~prune ~domains j
   else begin
     Span.begin_span "dp_power.node";
     let tbl =
@@ -346,34 +428,11 @@ and node_table ctx tree ~modes ~prune ~domains j =
       | [] -> start
       | _ ->
           let arr = Array.of_list children in
-          let k = Array.length arr in
-          let keys = Array.make (k + 1) (fp_seed client) in
-          for i = 1 to k do
-            keys.(i) <- Tree.combine_fingerprints keys.(i - 1) fps.(arr.(i - 1))
-          done;
-          let best = ref 0 and acc = ref start in
-          (try
-             for i = k downto 1 do
-               match Hashtbl.find_opt mm.prefixes (j, keys.(i)) with
-               | Some e -> (
-                   match wide_entry e with
-                   | Some t ->
-                       e.stamp <- mm.gen;
-                       best := i;
-                       acc := t;
-                       raise Exit
-                   | None -> ())
-               | None -> ()
-             done
-           with Exit -> ());
-          if !best > 0 && !best < k then Stats_counters.incr c_memo_partial;
-          if Span.enabled () then
-            Span.add_arg "memo"
-              (Span.Str
-                 (if !best = k then "hit"
-                  else if !best > 0 then "partial"
-                  else "miss"));
-          for i = !best + 1 to k do
+          let keys, best, hit = resume mm fps tree j arr ~packed:false in
+          let acc =
+            ref (match hit with Some (Twide t) -> t | Some (Tpacked _) | None -> start)
+          in
+          for i = best + 1 to Array.length arr do
             acc :=
               merge ~modes ~prune !acc
                 (extended_cached c tree ~modes ~prune arr.(i - 1));
@@ -385,20 +444,9 @@ and node_table ctx tree ~modes ~prune ~domains j =
 (* Extended child tables, looked up by the child's subtree fingerprint:
    a clean child costs one hash probe instead of a subtree of work. *)
 and extended_cached ((mm, fps) as ctx) tree ~modes ~prune c =
-  match Hashtbl.find_opt mm.ext_cache (c, fps.(c)) with
-  | Some ({ table = Twide t; _ } as e) ->
-      e.stamp <- mm.gen;
-      Stats_counters.incr c_memo_hits;
-      if Span.enabled () then begin
-        (* A hit costs one probe instead of a subtree of work; the
-           zero-length span keeps the skipped subtree visible in the
-           trace. *)
-        Span.begin_span "dp_power.memo_hit";
-        Span.end_span ~args:[ ("node", Span.Int c) ] ()
-      end;
-      (c, t)
-  | Some { table = Tpacked _; _ } | None ->
-      Stats_counters.incr c_memo_misses;
+  match ext_lookup mm fps c ~packed:false with
+  | Some (Twide t) -> (c, t)
+  | Some (Tpacked _) | None ->
       let _, tbl =
         extended_of (Some ctx) tree ~modes ~prune ~domains:1 c
       in
@@ -479,21 +527,6 @@ and merge ~modes ~prune left (c, extended) =
 (* Packed fast path: unboxed keys, flat tables, arena placements.     *)
 (* ------------------------------------------------------------------ *)
 
-(* Per-depth scratch buffers for the memo-less packed path: the fold
-   at depth d needs the accumulator and its double buffer, the current
-   child's extension, and two prune scratches (count-group -> minimal
-   key, and the compacted output). All five are reused across every
-   node at that depth, so a whole solve touches O(height) tables and
-   the merge inner loop allocates zero GC words — [clear] keeps
-   backing storage. *)
-type pslot = {
-  mutable p_acc : Int_table.t;
-  mutable p_alt : Int_table.t;
-  mutable p_ext : Int_table.t;
-  p_best : Int_table.t;
-  mutable p_tmp : Int_table.t;
-}
-
 type pctx = {
   lay : Packed_key.layout;
   arena : Arena.t;
@@ -516,13 +549,15 @@ let fresh_pslot () =
   }
 
 let make_pctx ?pmemo lay =
-  let arena =
-    match pmemo with Some (m, _) -> m.m_arena | None -> Arena.create ()
+  let arena, pslots =
+    match pmemo with
+    | Some (m, _) -> (m.m_arena, m.m_pslots)
+    | None -> (Arena.create (), [||])
   in
   {
     lay;
     arena;
-    pslots = [||];
+    pslots;
     pmemo;
     n_products = 0;
     n_rejected = 0;
@@ -686,15 +721,14 @@ let pstart _pc ~modes tbl tree j =
     Stats_counters.incr c_cells
   end
 
-(* Packed memo-less recursion. The fold at each node runs over the
-   per-depth scratch slot: extend the child into [p_ext] (pruning via
-   [p_tmp]), convolve [p_acc] x [p_ext] into [p_alt] (pruning via
-   [p_tmp] again), then swap [p_acc]/[p_alt]. All swaps permute the
-   five distinct tables of the slot, so no buffer is ever read and
-   written in the same kernel. *)
+(* The packed recursion, with and without the memo. The fold at each
+   node runs over the per-depth scratch slot: extend the child into
+   [p_ext] (pruning via [p_tmp]), convolve the accumulator x [p_ext]
+   into [p_alt] (pruning via [p_tmp] again), then swap [p_acc]/[p_alt].
+   All swaps permute the five distinct tables of the slot, so no buffer
+   is ever read and written in the same kernel. *)
 let rec ptable pc tree ~modes ~prune ~domains ~depth j =
-  if not (Span.enabled () && Tree.subtree_size tree j >= span_min_subtree)
-  then pnode pc tree ~modes ~prune ~domains ~depth j
+  if not (traced tree j) then pnode pc tree ~modes ~prune ~domains ~depth j
   else begin
     Span.begin_span "dp_power.node";
     let tbl =
@@ -720,51 +754,84 @@ and pnode pc tree ~modes ~prune ~domains ~depth j =
   let children = Tree.children_array tree j in
   let k = Array.length children in
   if k = 0 then s.p_acc
-  else if k >= 2 && domains > 1 then begin
-    (* Sibling fan-out: each child builds its extension in a private
-       pctx + arena; grafting back and folding keeps the sequential
-       child order, so the result is bit-identical to [domains = 1]. *)
-    let exts =
-      Par.map ~domains
-        (fun c -> pextended_standalone pc.lay tree ~modes ~prune c)
-        (Array.to_list children)
-    in
-    List.iter
-      (fun (ext, child_arena) ->
-        let len = Int_table.length ext in
-        for i = 0 to len - 1 do
-          Int_table.set_val ext i
-            (Arena.graft ~src:child_arena ~dst:pc.arena
-               (Int_table.val_at ext i))
+  else
+    match pc.pmemo with
+    | Some (mm, fps) -> pmemo_fold pc mm fps tree ~modes ~prune ~depth s j children
+    | None when k >= 2 && domains > 1 ->
+        (* Sibling fan-out: each child builds its extension in a private
+           pctx + arena; grafting back and folding keeps the sequential
+           child order, so the result is bit-identical to [domains = 1]. *)
+        let exts =
+          Par.map ~domains
+            (fun c -> pextended_standalone pc.lay tree ~modes ~prune c)
+            (Array.to_list children)
+        in
+        List.iter
+          (fun (ext, child_arena) ->
+            let len = Int_table.length ext in
+            for i = 0 to len - 1 do
+              Int_table.set_val ext i
+                (Arena.graft ~src:child_arena ~dst:pc.arena
+                   (Int_table.val_at ext i))
+            done;
+            pmerge_step pc ~modes ~prune s ~left:s.p_acc ext)
+          exts;
+        s.p_acc
+    | None ->
+        let domains = if k = 1 then domains else 1 in
+        for i = 0 to k - 1 do
+          pchild_ext pc tree ~modes ~prune ~domains ~depth s children.(i);
+          pmerge_step pc ~modes ~prune s ~left:s.p_acc s.p_ext
         done;
-        pmerge_step pc ~modes ~prune s ext)
-      exts;
-    s.p_acc
-  end
-  else begin
-    for i = 0 to k - 1 do
-      let c = children.(i) in
-      let sub =
-        ptable pc tree ~modes ~prune
-          ~domains:(if k = 1 then domains else 1)
-          ~depth:(depth + 1) c
-      in
-      pextend pc tree ~modes s.p_ext sub c;
-      (if prune then begin
-         let r = pprune pc.lay ~best:s.p_best ~out:s.p_tmp s.p_ext in
-         if r != s.p_ext then begin
-           let t = s.p_ext in
-           s.p_ext <- s.p_tmp;
-           s.p_tmp <- t
-         end
-       end);
-      pmerge_step pc ~modes ~prune s s.p_ext
-    done;
-    s.p_acc
+        s.p_acc
+
+(* The memo hook. Node j's fold resumes from its longest cached prefix:
+   the first merge reads that cached table directly, so it never enters
+   the slot's scratch, and a full hit returns it as node j's table.
+   Each remaining child's extension is an [ext_cache] hit or is built
+   in the slot; every extension built and every merge result is cached
+   as a copy. *)
+and pmemo_fold pc mm fps tree ~modes ~prune ~depth s j children =
+  let keys, best, hit = resume mm fps tree j children ~packed:true in
+  let left =
+    ref (match hit with Some (Tpacked t) -> t | Some (Twide _) | None -> s.p_acc)
+  in
+  for i = best + 1 to Array.length children do
+    let c = children.(i - 1) in
+    let ext =
+      match ext_lookup mm fps c ~packed:true with
+      | Some (Tpacked t) -> t
+      | Some (Twide _) | None ->
+          pchild_ext pc tree ~modes ~prune ~domains:1 ~depth s c;
+          Hashtbl.replace mm.ext_cache (c, fps.(c))
+            { stamp = mm.gen; table = Tpacked (cache_copy mm s.p_ext) };
+          s.p_ext
+    in
+    pmerge_step pc ~modes ~prune s ~left:!left ext;
+    left := s.p_acc;
+    Hashtbl.replace mm.prefixes (j, keys.(i))
+      { stamp = mm.gen; table = Tpacked (cache_copy mm s.p_acc) }
+  done;
+  !left
+
+(* Child c's table extended with the decision at c itself, left in the
+   slot's [p_ext]. *)
+and pchild_ext pc tree ~modes ~prune ~domains ~depth s c =
+  let sub = ptable pc tree ~modes ~prune ~domains ~depth:(depth + 1) c in
+  pextend pc tree ~modes s.p_ext sub c;
+  if prune then begin
+    let r = pprune pc.lay ~best:s.p_best ~out:s.p_tmp s.p_ext in
+    if r != s.p_ext then begin
+      let t = s.p_ext in
+      s.p_ext <- s.p_tmp;
+      s.p_tmp <- t
+    end
   end
 
-and pmerge_step pc ~modes ~prune s ext =
-  pconvolve pc ~modes ~into:s.p_alt s.p_acc ext;
+(* One fold step: [left] x [ext] becomes the slot's accumulator. [left]
+   is the slot's [p_acc] or a cached table, never [p_alt]/[p_tmp]. *)
+and pmerge_step pc ~modes ~prune s ~left ext =
+  pconvolve pc ~modes ~into:s.p_alt left ext;
   (if prune then begin
      let r = pprune pc.lay ~best:s.p_best ~out:s.p_tmp s.p_alt in
      if r != s.p_alt then begin
@@ -779,121 +846,9 @@ and pmerge_step pc ~modes ~prune s ext =
 
 and pextended_standalone lay tree ~modes ~prune c =
   let pc = make_pctx lay in
-  let sub = ptable pc tree ~modes ~prune ~domains:1 ~depth:1 c in
   let s = pslot pc 0 in
-  pextend pc tree ~modes s.p_ext sub c;
-  let ext =
-    if prune then pprune lay ~best:s.p_best ~out:s.p_tmp s.p_ext else s.p_ext
-  in
-  (ext, pc.arena)
-
-(* Packed memo path — the packed twin of the wide [node_table]'s
-   [Some ctx] branch. Tables built here persist in the memo across
-   solves, so they are fresh [Int_table]s (not pooled scratch) and
-   their placements live in the memo's arena. *)
-let rec mtable pc tree ~modes ~prune j =
-  if not (Span.enabled ()) then mnode pc tree ~modes ~prune j
-  else begin
-    Span.begin_span "dp_power.node";
-    let tbl =
-      try mnode pc tree ~modes ~prune j
-      with e ->
-        Span.end_span ();
-        raise e
-    in
-    Span.end_span
-      ~args:
-        [
-          ("node", Span.Int j);
-          ("subtree_size", Span.Int (Tree.subtree_size tree j));
-          ("cells", Span.Int (Int_table.length tbl));
-        ]
-      ();
-    tbl
-  end
-
-and mnode pc tree ~modes ~prune j =
-  let mm, fps =
-    match pc.pmemo with Some c -> c | None -> assert false
-  in
-  let start = Int_table.create () in
-  pstart pc ~modes start tree j;
-  match Tree.children tree j with
-  | [] -> start
-  | children ->
-      let arr = Array.of_list children in
-      let k = Array.length arr in
-      let keys = Array.make (k + 1) (fp_seed (Tree.client_load tree j)) in
-      for i = 1 to k do
-        keys.(i) <- Tree.combine_fingerprints keys.(i - 1) fps.(arr.(i - 1))
-      done;
-      let best = ref 0 and acc = ref start in
-      (try
-         for i = k downto 1 do
-           match Hashtbl.find_opt mm.prefixes (j, keys.(i)) with
-           | Some e -> (
-               match packed_entry e with
-               | Some t ->
-                   e.stamp <- mm.gen;
-                   best := i;
-                   acc := t;
-                   raise Exit
-               | None -> ())
-           | None -> ()
-         done
-       with Exit -> ());
-      if !best > 0 && !best < k then Stats_counters.incr c_memo_partial;
-      if Span.enabled () then
-        Span.add_arg "memo"
-          (Span.Str
-             (if !best = k then "hit"
-              else if !best > 0 then "partial"
-              else "miss"));
-      for i = !best + 1 to k do
-        acc := mmerge pc tree ~modes ~prune !acc arr.(i - 1);
-        Hashtbl.replace mm.prefixes (j, keys.(i))
-          { stamp = mm.gen; table = Tpacked !acc }
-      done;
-      !acc
-
-and mmerge pc tree ~modes ~prune left c =
-  let ext = mext_cached pc tree ~modes ~prune c in
-  let merged = Int_table.create ~capacity:(2 * Int_table.length left) () in
-  pconvolve pc ~modes ~into:merged left ext;
-  if prune then begin
-    let best = Int_table.create () and out = Int_table.create () in
-    pprune pc.lay ~best ~out merged
-  end
-  else merged
-
-and mext_cached pc tree ~modes ~prune c =
-  let mm, fps =
-    match pc.pmemo with Some x -> x | None -> assert false
-  in
-  match Hashtbl.find_opt mm.ext_cache (c, fps.(c)) with
-  | Some ({ table = Tpacked t; _ } as e) ->
-      e.stamp <- mm.gen;
-      Stats_counters.incr c_memo_hits;
-      if Span.enabled () then begin
-        Span.begin_span "dp_power.memo_hit";
-        Span.end_span ~args:[ ("node", Span.Int c) ] ()
-      end;
-      t
-  | Some { table = Twide _; _ } | None ->
-      Stats_counters.incr c_memo_misses;
-      let sub = mtable pc tree ~modes ~prune c in
-      let ext = Int_table.create ~capacity:(2 * Int_table.length sub) () in
-      pextend pc tree ~modes ext sub c;
-      let ext =
-        if prune then begin
-          let best = Int_table.create () and out = Int_table.create () in
-          pprune pc.lay ~best ~out ext
-        end
-        else ext
-      in
-      Hashtbl.replace mm.ext_cache (c, fps.(c))
-        { stamp = mm.gen; table = Tpacked ext };
-      ext
+  pchild_ext pc tree ~modes ~prune ~domains:1 ~depth:0 s c;
+  (s.p_ext, pc.arena)
 
 (* ------------------------------------------------------------------ *)
 (* Enumeration and the public entry points.                           *)
@@ -949,7 +904,12 @@ let ptally_into lay ~available tally key =
     tally.Cost.deleted.(i0 - 1) <- available.(i0 - 1) - !sum
   done
 
-let ppower_of lay ~modes ~power key =
+let mode_powers ~modes ~power =
+  Array.init (Modes.count modes) (fun i -> Power.of_mode power modes (i + 1))
+
+(* [mode_power.(op - 1)] is one server's power at mode op: hoisted out
+   of the root scan, which then boxes no float per cell. *)
+let[@inline] ppower_of lay ~mode_power key =
   let m = Packed_key.mode_count lay in
   let total = ref 0. in
   for op = 1 to m do
@@ -960,7 +920,7 @@ let ppower_of lay ~modes ~power key =
         + Packed_key.get lay key (Packed_key.e_field lay ~initial:i0 ~operating:op)
     done;
     if !count > 0 then
-      total := !total +. (float_of_int !count *. Power.of_mode power modes op)
+      total := !total +. (float_of_int !count *. mode_power.(op - 1))
   done;
   !total
 
@@ -1079,12 +1039,13 @@ let pcandidates lay tree ~modes ~power ~cost ~prune ~domains =
   let root_pre = Tree.is_pre_existing tree root in
   let root_i0 = if root_pre then initial_mode_default tree root else 0 in
   let available = available_of tree ~m in
+  let mode_power = mode_powers ~modes ~power in
   let out = ref [] in
   let emit key placed root_used =
     let tally = Cost.empty_tally ~modes:m in
     ptally_into lay ~available tally key;
     let cost_v = Cost.modal_cost cost tally in
-    let power_v = ppower_of lay ~modes ~power key in
+    let power_v = ppower_of lay ~mode_power key in
     let nodes = Arena.nodes pc.arena placed in
     let nodes = if root_used then root :: nodes else nodes in
     out :=
@@ -1106,16 +1067,14 @@ let pcandidates lay tree ~modes ~power ~cost ~prune ~domains =
 (* Memo housekeeping shared by both representations. *)
 let memo_prepare mm ~modes ~prune ~layout =
   let key = (Modes.capacities modes, prune) in
-  let layout_matches =
-    match (mm.m_layout, layout) with
-    | None, None -> true
-    | Some a, Some b -> Packed_key.equal a b
-    | None, Some _ | Some _, None -> false
-  in
-  if mm.memo_key <> Some key || not layout_matches then begin
+  if
+    mm.memo_key <> Some key
+    || not (Option.equal Packed_key.equal mm.m_layout layout)
+  then begin
     Hashtbl.reset mm.prefixes;
     Hashtbl.reset mm.ext_cache;
     Arena.clear mm.m_arena;
+    Class_pool.clear mm.pool;
     mm.memo_key <- Some key;
     mm.m_layout <- layout
   end;
@@ -1124,7 +1083,14 @@ let memo_prepare mm ~modes ~prune ~layout =
 let memo_finish mm =
   let evict tbl =
     Hashtbl.filter_map_inplace
-      (fun _ e -> if mm.gen - e.stamp > 1 then None else Some e)
+      (fun _ e ->
+        if mm.gen - e.stamp <= 1 then Some e
+        else begin
+          (match e.table with
+          | Tpacked t -> Class_pool.recycle mm.pool t
+          | Twide _ -> ());
+          None
+        end)
       tbl
   in
   evict mm.prefixes;
@@ -1148,6 +1114,7 @@ let memo_finish mm =
       Hashtbl.iter rewrite mm.prefixes;
       Hashtbl.iter rewrite mm.ext_cache;
       Arena.compact_commit mm.m_arena c;
+      Stats_counters.incr c_memo_compactions;
       mm.compact_at <- max (1 lsl 16) (4 * Arena.length mm.m_arena)
   | Some _ | None -> ()
 
@@ -1168,14 +1135,11 @@ let psolve lay tree ~modes ~power ~cost ~bound ~prune ~domains mopt =
   in
   let pc = make_pctx ?pmemo lay in
   let tracing = Span.enabled () in
-  if tracing then Span.begin_span "dp_power.solve";
   let root = Tree.root tree in
   if tracing then Span.begin_span "dp_power.tables";
   let table =
     Stats_counters.time t_tables (fun () ->
-        match pc.pmemo with
-        | None -> ptable pc tree ~modes ~prune ~domains ~depth:0 root
-        | Some _ -> mtable pc tree ~modes ~prune root)
+        ptable pc tree ~modes ~prune ~domains ~depth:0 root)
   in
   if tracing then
     Span.end_span ~args:[ ("root_cells", Span.Int (Int_table.length table)) ] ();
@@ -1183,6 +1147,7 @@ let psolve lay tree ~modes ~power ~cost ~bound ~prune ~domains mopt =
   let root_pre = Tree.is_pre_existing tree root in
   let root_i0 = if root_pre then initial_mode_default tree root else 0 in
   let available = available_of tree ~m in
+  let mode_power = mode_powers ~modes ~power in
   let scratch = Cost.empty_tally ~modes:m in
   let n_cand = ref 0 in
   let found = ref false
@@ -1196,7 +1161,7 @@ let psolve lay tree ~modes ~power ~cost ~bound ~prune ~domains mopt =
     ptally_into lay ~available scratch key;
     let cost_v = Cost.modal_cost cost scratch in
     if cost_v <= bound then begin
-      let power_v = ppower_of lay ~modes ~power key in
+      let power_v = ppower_of lay ~mode_power key in
       if
         (not !found)
         || power_v < !best_p
@@ -1232,18 +1197,11 @@ let psolve lay tree ~modes ~power ~cost ~bound ~prune ~domains mopt =
         }
     end
   in
-  (match mopt with Some mm -> memo_finish mm | None -> ());
-  if tracing then
-    Span.end_span
-      ~args:
-        [
-          ("nodes", Span.Int (Tree.size tree));
-          ("prune", Span.Bool prune);
-          ("domains", Span.Int domains);
-          ("memo", Span.Bool (mopt <> None));
-          ("solved", Span.Bool (result <> None));
-        ]
-      ();
+  (match mopt with
+  | Some mm ->
+      mm.m_pslots <- pc.pslots;
+      memo_finish mm
+  | None -> ());
   result
 
 let wide_solve tree ~modes ~power ~cost ~bound ~prune ~domains mopt =
@@ -1254,8 +1212,6 @@ let wide_solve tree ~modes ~power ~cost ~bound ~prune ~domains mopt =
         memo_prepare mm ~modes ~prune ~layout:None;
         Some (mm, Tree.subtree_fingerprints tree)
   in
-  let tracing = Span.enabled () in
-  if tracing then Span.begin_span "dp_power.solve";
   let best = ref None in
   List.iter
     (fun r ->
@@ -1265,17 +1221,6 @@ let wide_solve tree ~modes ~power ~cost ~bound ~prune ~domains mopt =
         | Some _ | None -> best := Some r)
     (candidates ~ctx tree ~modes ~power ~cost ~prune ~domains);
   (match mopt with Some mm -> memo_finish mm | None -> ());
-  if tracing then
-    Span.end_span
-      ~args:
-        [
-          ("nodes", Span.Int (Tree.size tree));
-          ("prune", Span.Bool prune);
-          ("domains", Span.Int domains);
-          ("memo", Span.Bool (mopt <> None));
-          ("solved", Span.Bool (!best <> None));
-        ]
-      ();
   !best
 
 let solve tree ~modes ~power ~cost ?(bound = infinity) ?prune ?packed
@@ -1301,9 +1246,25 @@ let solve tree ~modes ~power ~cost ?(bound = infinity) ?prune ?packed
         )
     | None -> layout_for tree ~modes
   in
-  match layout with
-  | Some lay -> psolve lay tree ~modes ~power ~cost ~bound ~prune ~domains m
-  | None -> wide_solve tree ~modes ~power ~cost ~bound ~prune ~domains m
+  let tracing = Span.enabled () in
+  if tracing then Span.begin_span "dp_power.solve";
+  let result =
+    match layout with
+    | Some lay -> psolve lay tree ~modes ~power ~cost ~bound ~prune ~domains m
+    | None -> wide_solve tree ~modes ~power ~cost ~bound ~prune ~domains m
+  in
+  if tracing then
+    Span.end_span
+      ~args:
+        [
+          ("nodes", Span.Int (Tree.size tree));
+          ("prune", Span.Bool prune);
+          ("domains", Span.Int domains);
+          ("incremental", Span.Bool (m <> None));
+          ("solved", Span.Bool (result <> None));
+        ]
+      ();
+  result
 
 let frontier ?prune ?(domains = 1) tree ~modes ~power ~cost =
   (* The frontier sweeps every cost bound at once, so pruning is only

@@ -123,13 +123,10 @@ let fresh_slot () =
    solves is safe. Entries unused for two consecutive solves are
    evicted, bounding the cache to roughly two epochs' tables.
 
-   Storage is recycled rather than left to the GC. An evicted table
-   goes onto a free list by capacity class (class k holds backing
-   arrays of exactly 2^k cells), and every cached merge draws its
-   table from there before allocating a fresh one. A class's free list
-   never holds more tables than the memo caches in that class (the
-   surplus goes to the GC), so recycled storage stays bounded by the
-   cache it serves however long the engine runs. Cached placements
+   Storage is recycled rather than left to the GC: an evicted table
+   goes back to the memo's {!Class_pool}, which every cached merge
+   draws from before allocating, and which stays bounded by the cache
+   it serves however long the engine runs. Cached placements
    live in the memo's own arena; after eviction the arena is compacted
    (live handles copied, sharing preserved) once it has grown past
    [compact_at], through the domain's reusable {!Arena} compactor, so
@@ -141,15 +138,11 @@ type memo = {
   prefixes : (int * int64, memo_entry) Hashtbl.t;
   m_arena : Arena.t;
   mutable compact_at : int;
-  free : table array array; (* per capacity class, a stack of tables *)
-  free_len : int array; (* live prefix of each [free] stack *)
-  cached : int array; (* per class, tables held by [prefixes] *)
+  pool : table Class_pool.t; (* recycled storage of evicted tables *)
   mutable m_slots : slot array; (* the solves' per-depth scratch *)
 }
 
 and memo_entry = { mutable stamp : int; entry_table : table }
-
-let size_classes = Sys.int_size
 
 let memo () =
   {
@@ -158,63 +151,13 @@ let memo () =
     prefixes = Hashtbl.create 512;
     m_arena = Arena.create ();
     compact_at = 1 lsl 16;
-    free = Array.make size_classes [||];
-    free_len = Array.make size_classes 0;
-    cached = Array.make size_classes 0;
+    pool =
+      Class_pool.create
+        ~fresh:(fun k -> fresh_table 0 ((1 lsl k) - 1))
+        ~cells:(fun t -> Array.length t.flows)
+        ~recycled:c_memo_recycled;
     m_slots = [||];
   }
-
-(* Smallest k with 2^k >= cells. *)
-let size_class cells =
-  let k = ref 0 in
-  while 1 lsl !k < cells do
-    incr k
-  done;
-  !k
-
-(* Fills vacated free-list slots, so they hold on to nothing. *)
-let no_table = { pre_cap = 0; new_cap = 0; flows = [||]; placed = [||] }
-
-(* A table for a cached merge: a recycled one of the right class when
-   the free list has it, else fresh storage rounded up to the class. *)
-let memo_table m pre_cap new_cap =
-  let k = size_class ((pre_cap + 1) * (new_cap + 1)) in
-  m.cached.(k) <- m.cached.(k) + 1;
-  let n = m.free_len.(k) in
-  if n = 0 then
-    {
-      pre_cap;
-      new_cap;
-      flows = Array.make (1 lsl k) (-1);
-      placed = Array.make (1 lsl k) 0;
-    }
-  else begin
-    m.free_len.(k) <- n - 1;
-    let t = m.free.(k).(n - 1) in
-    m.free.(k).(n - 1) <- no_table;
-    reset_table t pre_cap new_cap;
-    Stats_counters.incr c_memo_recycled;
-    t
-  end
-
-let recycle m t =
-  let k = size_class (Array.length t.flows) in
-  m.cached.(k) <- m.cached.(k) - 1;
-  let n = m.free_len.(k) in
-  if n < m.cached.(k) then begin
-    if n = Array.length m.free.(k) then begin
-      let grown = Array.make (max 8 (2 * n)) no_table in
-      Array.blit m.free.(k) 0 grown 0 n;
-      m.free.(k) <- grown
-    end;
-    m.free.(k).(n) <- t;
-    m.free_len.(k) <- n + 1
-  end
-
-let clear_free m =
-  Array.fill m.free 0 size_classes [||];
-  Array.fill m.free_len 0 size_classes 0;
-  Array.fill m.cached 0 size_classes 0
 
 let memo_size m = Hashtbl.length m.prefixes
 
@@ -328,11 +271,13 @@ let log_merge c left ext =
    subtrees, where profiles carry signal, are still covered. *)
 let span_min_subtree = 16
 
+let traced tree j =
+  Span.enabled () && Tree.subtree_size tree j >= span_min_subtree
+
 (* Table of node j over servers strictly below j. [ctx.memo] carries
    the optional memo and the current tree's subtree fingerprints. *)
 let rec table_of ctx tree ~w ~depth j =
-  if not (Span.enabled () && Tree.subtree_size tree j >= span_min_subtree)
-  then node_table ctx tree ~w ~depth j
+  if not (traced tree j) then node_table ctx tree ~w ~depth j
   else begin
     Span.begin_span "dp_withpre.node";
     let tbl =
@@ -390,7 +335,8 @@ and node_table ctx tree ~w ~depth j =
                | None -> ()
              done
            with Exit -> ());
-          if Span.enabled () then
+          (* only on this node's own span, never an enclosing one *)
+          if traced tree j then
             Span.add_arg "memo"
               (Span.Str
                  (if !best = k then "hit"
@@ -418,9 +364,7 @@ and merge_into ctx tree ~w ~depth s c =
   extend ctx tree ~into:s.s_ext sub c;
   let left = s.s_acc and ext = s.s_ext in
   log_merge c left ext;
-  let tracing =
-    Span.enabled () && Tree.subtree_size tree c >= span_min_subtree
-  in
+  let tracing = traced tree c in
   if tracing then Span.begin_span "dp_withpre.merge";
   reset_table s.s_alt (left.pre_cap + ext.pre_cap) (left.new_cap + ext.new_cap);
   convolve ctx ~w ~into:s.s_alt left ext;
@@ -448,13 +392,12 @@ and merge_cached ctx m tree ~w ~depth left c =
   reset_table ext (sub.pre_cap + de) (sub.new_cap + 1 - de);
   extend ctx tree ~into:ext sub c;
   log_merge c left ext;
-  let tracing =
-    Span.enabled () && Tree.subtree_size tree c >= span_min_subtree
-  in
+  let tracing = traced tree c in
   if tracing then Span.begin_span "dp_withpre.merge";
-  let merged =
-    memo_table m (left.pre_cap + ext.pre_cap) (left.new_cap + ext.new_cap)
-  in
+  let pre_cap = left.pre_cap + ext.pre_cap
+  and new_cap = left.new_cap + ext.new_cap in
+  let merged = Class_pool.take m.pool ((pre_cap + 1) * (new_cap + 1)) in
+  reset_table merged pre_cap new_cap;
   convolve ctx ~w ~into:merged left ext;
   if tracing then
     Span.end_span
@@ -562,7 +505,7 @@ let solve ?memo:m tree ~w ~cost =
         if mm.memo_w <> w then begin
           Hashtbl.reset mm.prefixes;
           Arena.clear mm.m_arena;
-          clear_free mm;
+          Class_pool.clear mm.pool;
           mm.memo_w <- w
         end;
         mm.gen <- mm.gen + 1;
@@ -598,7 +541,7 @@ let solve ?memo:m tree ~w ~cost =
       Hashtbl.filter_map_inplace
         (fun _ e ->
           if mm.gen - e.stamp > 1 then begin
-            recycle mm e.entry_table;
+            Class_pool.recycle mm.pool e.entry_table;
             None
           end
           else Some e)
@@ -611,7 +554,7 @@ let solve ?memo:m tree ~w ~cost =
         [
           ("nodes", Span.Int (Tree.size tree));
           ("w", Span.Int w);
-          ("memo", Span.Bool (m <> None));
+          ("incremental", Span.Bool (m <> None));
           ("solved", Span.Bool (result <> None));
         ]
       ();

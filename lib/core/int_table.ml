@@ -6,9 +6,9 @@
    - zero boxing: keys and values are unboxed ints in flat arrays, so
      the merge inner loop (probe + insert) allocates no GC words once
      the table has reached steady capacity;
-   - insertion-order iteration: [iter] walks the dense [keys]/[vals]
-     prefix, so which representative placement survives a first-wins
-     insert — and hence the solver's tie-broken output — is a
+   - insertion-order iteration: [key_at]/[val_at] walk the dense
+     [keys]/[vals] prefix, so which representative placement survives
+     a first-wins insert — and hence the solver's tie-broken output — is a
      deterministic function of the merge order alone, independent of
      hashing, capacity, or the packed-key layout;
    - reserve-then-fill inserts: {!reserve} probes once and either
@@ -47,24 +47,28 @@ let create ?(capacity = 16) () =
   }
 
 let length t = t.count
+let capacity t = Array.length t.keys
 
 let clear t =
   t.count <- 0;
   Array.fill t.slots 0 (Array.length t.slots) 0
 
-let[@inline never] rehash t =
-  let slot_len = 2 * (t.mask + 1) in
-  let slots = Array.make slot_len 0 in
-  let mask = slot_len - 1 in
+(* Index every dense entry into the (empty) [slots]. *)
+let reindex t =
+  let mask = t.mask and slots = t.slots in
   for i = 0 to t.count - 1 do
     let j = ref (hash t.keys.(i) land mask) in
     while slots.(!j) <> 0 do
       j := (!j + 1) land mask
     done;
     slots.(!j) <- i + 1
-  done;
-  t.slots <- slots;
-  t.mask <- mask
+  done
+
+let[@inline never] rehash t =
+  let slot_len = 2 * (t.mask + 1) in
+  t.slots <- Array.make slot_len 0;
+  t.mask <- slot_len - 1;
+  reindex t
 
 let[@inline never] grow_dense t =
   let cap = 2 * Array.length t.keys in
@@ -99,6 +103,23 @@ let reserve t key =
 
 let[@inline] set_val t i v = t.vals.(i) <- v
 
+let assign ~dst src =
+  let n = src.count in
+  if n > Array.length dst.keys then begin
+    dst.keys <- Array.make n 0;
+    dst.vals <- Array.make n 0
+  end;
+  Array.blit src.keys 0 dst.keys 0 n;
+  Array.blit src.vals 0 dst.vals 0 n;
+  dst.count <- n;
+  if 2 * n > dst.mask + 1 then begin
+    let slot_len = pow2_above (2 * n) 16 in
+    dst.slots <- Array.make slot_len 0;
+    dst.mask <- slot_len - 1
+  end
+  else Array.fill dst.slots 0 (dst.mask + 1) 0;
+  reindex dst
+
 (* Dense index of [key], or [-1]. *)
 let index t key =
   let mask = t.mask and slots = t.slots and keys = t.keys in
@@ -112,37 +133,10 @@ let index t key =
   done;
   !result
 
-let mem t key = index t key >= 0
-
-let find_default t key default =
-  let i = index t key in
-  if i < 0 then default else t.vals.(i)
-
 let get t key =
   let i = index t key in
   if i < 0 then raise Not_found;
   t.vals.(i)
 
-(* Insert or overwrite. *)
-let replace t key v =
-  let i = reserve t key in
-  if i >= 0 then t.vals.(i) <- v
-  else begin
-    let j = index t key in
-    t.vals.(j) <- v
-  end
-
-let iter t f =
-  for i = 0 to t.count - 1 do
-    f t.keys.(i) t.vals.(i)
-  done
-
 let[@inline] key_at t i = t.keys.(i)
 let[@inline] val_at t i = t.vals.(i)
-
-let fold t init f =
-  let acc = ref init in
-  for i = 0 to t.count - 1 do
-    acc := f !acc t.keys.(i) t.vals.(i)
-  done;
-  !acc

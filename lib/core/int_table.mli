@@ -2,8 +2,8 @@
     iteration — the packed DP cores' table primitive.
 
     Keys and values live unboxed in flat arrays (no GC allocation per
-    insert once capacity is reached), {!iter} walks entries in
-    insertion order (so first-wins tie-breaking is a function of merge
+    insert once capacity is reached), {!key_at}/{!val_at} walk entries
+    in insertion order (so first-wins tie-breaking is a function of merge
     order alone, independent of hashing or key layout), and
     {!reserve}/{!set_val} split the insert so callers build a value
     (e.g. an arena push) only when the key is actually new. *)
@@ -13,6 +13,10 @@ type t
 val create : ?capacity:int -> unit -> t
 
 val length : t -> int
+
+val capacity : t -> int
+(** Entries the table holds before its dense storage grows; [create
+    ~capacity:c] gives [max 8 c]. *)
 
 val clear : t -> unit
 (** Empty the table, keeping the backing storage — refilling to the
@@ -26,25 +30,19 @@ val reserve : t -> int -> int
 val set_val : t -> int -> int -> unit
 (** [set_val t i v] fills the value slot returned by {!reserve}. *)
 
+val assign : dst:t -> t -> unit
+(** [assign ~dst src] makes [dst] hold exactly [src]'s entries, in
+    [src]'s insertion order. Allocates nothing when [dst] already has
+    the capacity. *)
+
 val index : t -> int -> int
 (** Dense index of a key ([-1] if absent), usable with {!key_at} /
     {!val_at} / {!set_val}. *)
 
-val mem : t -> int -> bool
-val find_default : t -> int -> int -> int
-
 val get : t -> int -> int
 (** @raise Not_found when the key is absent. *)
-
-val replace : t -> int -> int -> unit
-(** Insert or overwrite. *)
-
-val iter : t -> (int -> int -> unit) -> unit
-(** Insertion-order iteration over [(key, value)]. *)
 
 val key_at : t -> int -> int
 (** Key at a dense index [0 <= i < length t], in insertion order. *)
 
 val val_at : t -> int -> int
-
-val fold : t -> 'a -> ('a -> int -> int -> 'a) -> 'a

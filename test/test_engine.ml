@@ -140,6 +140,7 @@ let memo_churn ?profile ~seed ~solve ~pre () =
 
 let c_compactions = Stats_counters.counter "dp_withpre.memo_compactions"
 let c_recycled = Stats_counters.counter "dp_withpre.memo_recycled"
+let c_power_recycled = Stats_counters.counter "dp_power.memo_recycled"
 
 let prop_memo_churn_cost =
   qcheck_case ~count:3 "dp-withpre memo compacts and recycles, answers unchanged"
@@ -170,6 +171,7 @@ let prop_memo_churn_power =
         if epoch < churn_epochs / 2 then modes_2 else Modes.make [ 6; 12 ]
       in
       let memo = Dp_power.memo () in
+      let recycled = Stats_counters.value c_power_recycled in
       let profile =
         { (Generator.fat ()) with client_probability = 0.2; max_requests = 2 }
       in
@@ -188,7 +190,140 @@ let prop_memo_churn_power =
                ~power:(Power.paper_exp3 ~modes)
                ~cost:(Cost.paper_cheap ~modes:2) ?memo ()))
         ();
-      true)
+      Stats_counters.value c_power_recycled > recycled)
+
+(* --- the paper's update strategy at power-updates size ---
+
+   One N = 50 fat tree (1-5 requests per client), modes {5, 10}, nudged
+   by one request on one client per epoch for 40 epochs; each epoch's
+   placement, with its modes in force, is the next epoch's pre-existing
+   set. The memo must give the memo-less placement, power and cost on
+   every epoch, and a warm re-solve must hand the GC little beyond its
+   answer: the memo's tables are copies in recycled storage and its
+   scratch is kept from solve to solve. *)
+
+let nudge rng tree =
+  let loaded =
+    List.filter (fun j -> Tree.clients tree j <> []) (List.init (Tree.size tree) Fun.id)
+  in
+  let j = List.nth loaded (Rng.int rng (List.length loaded)) in
+  let c = Rng.int rng (List.length (Tree.clients tree j)) in
+  let up = Rng.bool rng in
+  Tree.with_clients tree (fun i ->
+      if i <> j then Tree.clients tree i
+      else
+        List.mapi
+          (fun k r ->
+            if k <> c then r else if (up && r < 5) || r = 1 then r + 1 else r - 1)
+          (Tree.clients tree i))
+
+(* Words allocated by [f ()], minor and major heap alike. *)
+let allocated_words f =
+  let minor0 = Gc.minor_words () and _, promoted0, major0 = Gc.counters () in
+  let r = f () in
+  let minor1 = Gc.minor_words () and _, promoted1, major1 = Gc.counters () in
+  (r, minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0))
+
+let test_power_updates_shape () =
+  let rng = Rng.create 14 in
+  let tree =
+    Generator.random rng
+      (Replica_experiments.Workload.profile Replica_experiments.Workload.Fat
+         ~nodes:50 ~max_requests:5)
+  in
+  let power = power_exp3 and cost = cost_cheap in
+  let memo = Dp_power.memo () in
+  let demand = ref tree and pre = ref [] and warm = ref [] in
+  for epoch = 0 to 40 do
+    if epoch > 0 then demand := nudge rng !demand;
+    let posed = Tree.with_pre_existing !demand !pre in
+    let solve memo = Dp_power.solve posed ~modes:modes_2 ~power ~cost ?memo () in
+    let full = Option.get (solve None) in
+    let inc, words = allocated_words (fun () -> solve (Some memo)) in
+    let inc = Option.get inc in
+    if epoch > 0 then warm := words :: !warm;
+    let label what = Printf.sprintf "epoch %d: %s" epoch what in
+    check solution_testable (label "identical placement") full.Dp_power.solution
+      inc.Dp_power.solution;
+    check cf (label "identical power") full.Dp_power.power inc.Dp_power.power;
+    check cf (label "identical cost") full.Dp_power.cost inc.Dp_power.cost;
+    pre :=
+      List.map
+        (fun (j, load) -> (j, Modes.mode_of_load modes_2 load))
+        (Solution.evaluate !demand inc.Dp_power.solution).Solution.loads
+  done;
+  let sorted = List.sort compare !warm in
+  let median = List.nth sorted (List.length sorted / 2) in
+  if median >= 30_000. then
+    Alcotest.failf "median warm re-solve allocates %.0f words (limit 30000)" median
+
+(* --- memo tags in traces ---
+
+   Each incremental DP tags a node's span with its memo outcome, but
+   per-node spans are skipped below a subtree size; the tag of a node
+   whose own span was skipped must not land on the span enclosing it.
+   A traced incremental engine run, read back from its Chrome trace,
+   must carry at most one [memo] arg per event, and only on [*.node]
+   spans. *)
+
+let traced_run objective =
+  let rng = Rng.create 7 in
+  let tree =
+    Generator.random rng
+      (Replica_experiments.Workload.profile Replica_experiments.Workload.Fat
+         ~nodes:60 ~max_requests:6)
+  in
+  let trace =
+    Replica_trace.Arrivals.diurnal rng tree ~horizon:12. ~period:24. ~floor:0.25
+  in
+  let cfg =
+    Engine.config ~policy:Update_policy.Systematic ~solver:Engine.Incremental
+      ~w:10 objective
+  in
+  let module Span = Replica_obs.Span in
+  Span.reset ();
+  Span.set_enabled true;
+  let spans =
+    Fun.protect
+      ~finally:(fun () ->
+        Span.set_enabled false;
+        Span.reset ())
+      (fun () ->
+        ignore (Engine.run_trace cfg tree trace ~window:1.);
+        Span.export ())
+  in
+  match
+    Replica_obs.Trace_reader.of_string (Replica_obs.Chrome_trace.to_string spans)
+  with
+  | Error e -> Alcotest.failf "trace does not read back: %s" e
+  | Ok t -> t.Replica_obs.Trace_reader.roots
+
+let check_memo_tags what objective =
+  let module TR = Replica_obs.Trace_reader in
+  let tagged =
+    TR.fold
+      (fun n (node : TR.node) ->
+        let span = node.TR.span in
+        let tags =
+          List.length (List.filter (fun (k, _) -> k = "memo") span.Replica_obs.Span.args)
+        in
+        let name = span.Replica_obs.Span.name in
+        if tags > 1 then Alcotest.failf "%s: %s carries %d memo args" what name tags;
+        if tags = 1 && not (String.ends_with ~suffix:".node" name) then
+          Alcotest.failf "%s: memo arg on %s" what name;
+        n + tags)
+      0 (traced_run objective)
+  in
+  check cb (what ^ ": some node spans are memo-tagged") true (tagged > 0)
+
+let test_memo_tags_cost () =
+  check_memo_tags "dp-withpre"
+    (Engine.Min_cost (Cost.basic ~create:0.5 ~delete:0.25 ()))
+
+let test_memo_tags_power () =
+  check_memo_tags "dp-power"
+    (Engine.Min_power
+       { modes = modes_2; power = power_exp3; cost = cost_cheap; bound = infinity })
 
 (* --- unit behaviour --- *)
 
@@ -304,6 +439,8 @@ let () =
             test_differential_power;
           prop_memo_churn_cost;
           prop_memo_churn_power;
+          Alcotest.test_case "power-updates shape: 40 nudges, warm re-solves lean"
+            `Quick test_power_updates_shape;
         ] );
       ( "engine",
         [
@@ -312,5 +449,7 @@ let () =
             test_systematic_reconfigures_every_epoch;
           Alcotest.test_case "memo reuse" `Quick test_incremental_memo_reuse;
           Alcotest.test_case "timeline json" `Quick test_timeline_json_shape;
+          Alcotest.test_case "memo tags: dp-withpre" `Quick test_memo_tags_cost;
+          Alcotest.test_case "memo tags: dp-power" `Quick test_memo_tags_power;
         ] );
     ]
