@@ -1106,12 +1106,18 @@ let timing_tests () =
   in
   solver_tests
   @ [
-      (* The design choice behind the DP's speed: placements as catenable
-         lists (O(1) append) vs naive list concatenation (O(n)). *)
-      (let chunks = List.init 200 (fun i -> Clist.of_list [ (i, i) ]) in
-       Test.make ~name:"clist/200-appends"
+      (* The design choice behind the DP's speed: placements as arena
+         lists (O(1) append into reused storage) vs naive list
+         concatenation (O(n)). *)
+      (let a = Arena.create () in
+       Test.make ~name:"arena/200-appends"
          (Staged.stage (fun () ->
-              List.fold_left Clist.append Clist.empty chunks)));
+              Arena.clear a;
+              let l = ref Arena.empty in
+              for i = 0 to 199 do
+                l := Arena.snoc a !l ~node:i ~flow:i
+              done;
+              !l)));
       (let chunks = List.init 200 (fun i -> [ (i, i) ]) in
        Test.make ~name:"list/200-appends"
          (Staged.stage (fun () -> List.fold_left ( @ ) [] chunks)));

@@ -1,5 +1,5 @@
-(* Flat arena for catenable placement lists — the unboxed counterpart
-   of {!Clist} used by the packed DP cores. A placement is an [int]
+(* Flat arena for catenable placement lists, the placement
+   representation of every DP solver. A placement is an [int]
    index into the arena; cell 0 is the shared empty list. Each cell is
    a pair of ints across two parallel arrays:
 
@@ -11,8 +11,7 @@
    doubles the backing arrays, amortized and absent once the arena has
    reached steady size — which is what the zero-alloc bench assert
    measures). Structure sharing is free: a cell index can appear as a
-   child of any number of later cells, exactly like the boxed [Clist]
-   spines it replaces.
+   child of any number of later cells.
 
    Arenas are single-writer: the parallel sibling fan-out gives each
    domain a private arena and {!graft}s the results back into the

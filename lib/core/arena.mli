@@ -1,12 +1,11 @@
-(** Flat arena for catenable placement lists — the unboxed counterpart
-    of {!Clist} used by the packed DP cores.
+(** Flat arena for catenable placement lists, the placement
+    representation of every DP solver.
 
     A placement is an [int] handle into the arena; [empty] ([= 0]) is
     the shared empty list. {!snoc} and {!append} are O(1) pushes into
     preallocated parallel int arrays, so a DP merge inner loop working
-    over a pre-grown arena allocates zero GC words; structure sharing
-    works exactly as with boxed [Clist] spines (a handle may appear
-    under any number of later cells).
+    over a pre-grown arena allocates zero GC words; structure is shared
+    (a handle may appear under any number of later cells).
 
     Arenas are single-writer. The parallel sibling fan-out gives each
     domain a private arena and moves results back with {!graft};

@@ -71,12 +71,12 @@ let h_products =
 
    Two concrete representations implement that abstract key: the
    {e packed} fast path ({!Packed_key}: the whole vector bit-packed
-   into one unboxed int, placements as {!Arena} handles, tables as
-   {!Int_table}) and the {e wide} fallback (this historical [int
-   array] / [Clist] / polymorphic-[Hashtbl] form) used when the
-   instance's field widths cannot fit 62 bits. Both produce the same
-   optimum, the same counter totals, and the same set of table keys;
-   only the tie-broken representative placements may differ. *)
+   into one unboxed int, tables as {!Int_table}) and the {e wide}
+   fallback (this historical [int array] / polymorphic-[Hashtbl] form)
+   used when the instance's field widths cannot fit 62 bits. Both carry
+   placements as {!Arena} handles and produce the same optimum, the
+   same counter totals, and the same set of table keys; only the
+   tie-broken representative placements may differ. *)
 
 let state_size m = m + (m * m)
 
@@ -104,9 +104,11 @@ let bump_into dst key ~m ~initial ~operating =
   in
   dst.(idx) <- dst.(idx) + 1
 
-let set tbl key placed ~created =
+(* First-wins insert; the placement is only built when the key is new,
+   so the arena grows by the cells that land. *)
+let set tbl key ~created placed =
   if not (Tbl.mem tbl key) then begin
-    Tbl.replace tbl key placed;
+    Tbl.replace tbl key (placed ());
     incr created
   end
 
@@ -239,76 +241,41 @@ type pslot = {
   mutable p_tmp : Int_table.t;
 }
 
-(* Incremental re-solving (same device as Dp_withpre): a memo caches
-   every extended child table keyed by the child's subtree fingerprint,
-   and every prefix of every node's child-merge fold keyed by a
-   fingerprint chain. An epoch re-solve then recomputes only the tables
-   under demand that actually moved; results are bit-identical to a
-   memo-less solve. Tables are never mutated after construction, so
-   sharing them across solves is safe. The memo forces the sequential
-   merge path (no [Par] fan-out — the cache is not domain-safe).
+(* Incremental re-solving goes through {!Subtree_memo}, as in
+   Dp_withpre: extended child tables are cached by the child's subtree
+   fingerprint and every prefix of every node's child-merge fold by a
+   fingerprint chain, so an epoch re-solve recomputes only the tables
+   under demand that actually moved. The memo forces the sequential
+   merge path (no [Par] fan-out — the cache is not domain-safe), and
+   it serves the packed layout only: a wide instance solves memo-less.
 
-   A memo caches tables in whichever representation the instance
-   resolves to; the packed layout's field widths are part of the memo
-   key, so a layout change (e.g. the mode ladder or tree size changed)
-   resets the cache rather than mixing incomparable keys.
-
-   On the packed path the memo is a lookup hook inside the one
-   traversal ([pnode]): every table is built in the per-depth scratch
-   slots, which the memo keeps from one solve to the next, and the
-   cache holds copies of the slots' results. A copy's storage comes
-   from the memo's {!Class_pool}, which evicted tables feed, so a warm
-   re-solve hands the GC little beyond its answer. Packed placements
-   live in the memo's arena, compacted after eviction once it outgrows
-   [compact_at]. *)
-type tbl_repr = Twide of (int * int) Clist.t Tbl.t | Tpacked of Int_table.t
-
-type memo = {
-  mutable gen : int;
-  mutable memo_key : (int list * bool) option;
-      (* tables depend on the mode ladder and the prune flag *)
-  mutable m_layout : Packed_key.layout option;
-      (* layout of cached packed tables; [None] = wide representation *)
-  prefixes : (int * int64, entry) Hashtbl.t;
-  ext_cache : (int * int64, entry) Hashtbl.t;
-  m_arena : Arena.t;
-  mutable compact_at : int;
-  pool : Int_table.t Class_pool.t; (* recycled storage of evicted tables *)
-  mutable m_pslots : pslot array; (* the solves' per-depth scratch *)
-}
-
-and entry = { mutable stamp : int; table : tbl_repr }
+   The memo is a lookup hook inside the one packed traversal ([pnode]):
+   every table is built in the per-depth scratch slots, which the memo
+   keeps from one solve to the next, and the cache holds copies of the
+   slots' results in storage drawn from the memo's free lists. Tables
+   depend on the mode ladder, the prune flag and the packed layout,
+   which together form the memo's reset key. *)
+type memo = (int list * bool * Packed_key.layout, Int_table.t, pslot) Subtree_memo.t
 
 let memo () =
-  {
-    gen = 0;
-    memo_key = None;
-    m_layout = None;
-    prefixes = Hashtbl.create 512;
-    ext_cache = Hashtbl.create 512;
-    m_arena = Arena.create ();
-    compact_at = 1 lsl 16;
-    pool =
-      Class_pool.create
-        ~fresh:(fun k -> Int_table.create ~capacity:(1 lsl k) ())
-        ~cells:Int_table.capacity ~recycled:c_memo_recycled;
-    m_pslots = [||];
-  }
+  Subtree_memo.create ~seed:0x9E6C63D0876A9A35L
+    ~fresh:(fun k -> Int_table.create ~capacity:(1 lsl k) ())
+    ~cells:Int_table.capacity
+    ~relocate:(fun f t ->
+      for i = 0 to Int_table.length t - 1 do
+        Int_table.set_val t i (f (Int_table.val_at t i))
+      done)
+    ~recycled:c_memo_recycled ~compactions:c_memo_compactions
 
-(* A cached copy of a scratch table, in storage from the pool (whose
+(* A cached copy of a scratch table, in storage from the memo (whose
    classes count dense capacity, which [Int_table.create] makes at
    least 8). *)
 let cache_copy mm src =
-  let t = Class_pool.take mm.pool (max 8 (Int_table.length src)) in
+  let t = Subtree_memo.take mm (max 8 (Int_table.length src)) in
   Int_table.assign ~dst:t src;
   t
 
-let memo_size m = Hashtbl.length m.prefixes + Hashtbl.length m.ext_cache
-
-let fp_seed client =
-  Tree.combine_fingerprints 0x9E6C63D0876A9A35L (Int64.of_int client)
-
-let is_packed = function Tpacked _ -> true | Twide _ -> false
+let memo_size = Subtree_memo.size
 
 (* Per-node spans only for subtrees of at least this many nodes —
    same rationale as [Dp_withpre.span_min_subtree]: the packed kernels
@@ -318,68 +285,23 @@ let span_min_subtree = 16
 let traced tree j =
   Span.enabled () && Tree.subtree_size tree j >= span_min_subtree
 
-(* A node's memo outcome, tagged on its own span only: when the span
-   was skipped, [Span.add_arg] would land on an enclosing one. *)
-let tag_memo tree j ~best ~k =
-  if traced tree j then
-    Span.add_arg "memo"
-      (Span.Str (if best = k then "hit" else if best > 0 then "partial" else "miss"))
-
-(* The memo lookups, shared by both representations ([packed] selects
-   the usable entries). [resume] builds node j's fold-prefix keys
-   k_0 = mix(load j), k_i = combine(k_{i-1}, fp(c_i)) and finds the
-   longest cached prefix: the keys, its length, and its table. *)
-let resume mm fps tree j children ~packed =
-  let k = Array.length children in
-  let keys = Array.make (k + 1) (fp_seed (Tree.client_load tree j)) in
-  for i = 1 to k do
-    keys.(i) <- Tree.combine_fingerprints keys.(i - 1) fps.(children.(i - 1))
-  done;
-  let best = ref k and hit = ref None in
-  while !best > 0 && Option.is_none !hit do
-    match Hashtbl.find_opt mm.prefixes (j, keys.(!best)) with
-    | Some e when is_packed e.table = packed ->
-        e.stamp <- mm.gen;
-        hit := Some e.table
-    | Some _ | None -> decr best
-  done;
-  if !best > 0 && !best < k then Stats_counters.incr c_memo_partial;
-  tag_memo tree j ~best:!best ~k;
-  (keys, !best, !hit)
-
-(* Child c's cached extension, if any. A hit costs one probe instead of
-   a subtree of work; its zero-length span keeps the skipped subtree
-   visible in the trace. *)
-let ext_lookup mm fps c ~packed =
-  match Hashtbl.find_opt mm.ext_cache (c, fps.(c)) with
-  | Some e when is_packed e.table = packed ->
-      e.stamp <- mm.gen;
-      Stats_counters.incr c_memo_hits;
-      if Span.enabled () then begin
-        Span.begin_span "dp_power.memo_hit";
-        Span.end_span ~args:[ ("node", Span.Int c) ] ()
-      end;
-      Some e.table
-  | Some _ | None ->
-      Stats_counters.incr c_memo_misses;
-      None
-
 (* ------------------------------------------------------------------ *)
-(* Wide (int array / Clist / Hashtbl) fallback path.                  *)
+(* Wide (int array / Hashtbl) fallback path.                          *)
 (* ------------------------------------------------------------------ *)
 
-(* Table of node j over servers strictly below j: key -> placement.
-   [domains > 1] fans sibling subtrees out over OCaml 5 domains at the
-   first node with several children; each child's table is a pure
-   function of its subtree and is built sequentially inside its domain,
-   and the reduction over child tables below keeps the sequential
-   child order — so the result is bit-identical to [domains = 1]. *)
-let rec table_of ctx tree ~modes ~prune ~domains j =
-  if not (traced tree j) then node_table ctx tree ~modes ~prune ~domains j
+(* Table of node j over servers strictly below j: key -> placement
+   handle in [arena]. [domains > 1] fans sibling subtrees out over
+   OCaml 5 domains at the first node with several children; each
+   child's table is a pure function of its subtree, built sequentially
+   inside its domain in a private arena and grafted back, and the
+   reduction over child tables below keeps the sequential child order
+   — so the result is bit-identical to [domains = 1]. *)
+let rec table_of arena tree ~modes ~prune ~domains j =
+  if not (traced tree j) then node_table arena tree ~modes ~prune ~domains j
   else begin
     Span.begin_span "dp_power.node";
     let tbl =
-      try node_table ctx tree ~modes ~prune ~domains j
+      try node_table arena tree ~modes ~prune ~domains j
       with e ->
         Span.end_span ();
         raise e
@@ -395,7 +317,7 @@ let rec table_of ctx tree ~modes ~prune ~domains j =
     tbl
   end
 
-and node_table ctx tree ~modes ~prune ~domains j =
+and node_table arena tree ~modes ~prune ~domains j =
   let m = Modes.count modes in
   let w = Modes.max_capacity modes in
   let start = Tbl.create 16 in
@@ -403,63 +325,39 @@ and node_table ctx tree ~modes ~prune ~domains j =
   if client <= w then begin
     let key = Array.make (state_size m + 1) 0 in
     key.(state_size m) <- client;
-    Tbl.replace start key Clist.empty;
+    Tbl.replace start key Arena.empty;
     Stats_counters.incr c_cells
   end;
-  let children = Tree.children tree j in
-  match ctx with
-  | None ->
-      let extended_tables =
-        match children with
-        | [] -> []
-        | [ c ] -> [ extended_of ctx tree ~modes ~prune ~domains c ]
-        | _ :: _ :: _ when domains > 1 ->
-            Par.map ~domains
-              (fun c -> extended_of None tree ~modes ~prune ~domains:1 c)
-              children
-        | _ ->
-            List.map
-              (fun c -> extended_of ctx tree ~modes ~prune ~domains:1 c)
-              children
-      in
-      List.fold_left (merge ~modes ~prune) start extended_tables
-  | Some ((mm, fps) as c) -> (
-      match children with
-      | [] -> start
-      | _ ->
-          let arr = Array.of_list children in
-          let keys, best, hit = resume mm fps tree j arr ~packed:false in
-          let acc =
-            ref (match hit with Some (Twide t) -> t | Some (Tpacked _) | None -> start)
-          in
-          for i = best + 1 to Array.length arr do
-            acc :=
-              merge ~modes ~prune !acc
-                (extended_cached c tree ~modes ~prune arr.(i - 1));
-            Hashtbl.replace mm.prefixes (j, keys.(i))
-              { stamp = mm.gen; table = Twide !acc }
-          done;
-          !acc)
-
-(* Extended child tables, looked up by the child's subtree fingerprint:
-   a clean child costs one hash probe instead of a subtree of work. *)
-and extended_cached ((mm, fps) as ctx) tree ~modes ~prune c =
-  match ext_lookup mm fps c ~packed:false with
-  | Some (Twide t) -> (c, t)
-  | Some (Tpacked _) | None ->
-      let _, tbl =
-        extended_of (Some ctx) tree ~modes ~prune ~domains:1 c
-      in
-      Hashtbl.replace mm.ext_cache (c, fps.(c))
-        { stamp = mm.gen; table = Twide tbl };
-      (c, tbl)
+  let extended_tables =
+    match Tree.children tree j with
+    | [] -> []
+    | [ c ] -> [ extended_of arena tree ~modes ~prune ~domains c ]
+    | _ :: _ :: _ as children when domains > 1 ->
+        Par.map ~domains
+          (fun c ->
+            let own = Arena.create () in
+            (extended_of own tree ~modes ~prune ~domains:1 c, own))
+          children
+        |> List.map (fun ((c, ext), src) ->
+               (* [replace] on a present key keeps its place in the
+                  table, hence the iteration order merges read *)
+               Tbl.fold (fun key h acc -> (key, h) :: acc) ext []
+               |> List.iter (fun (key, h) ->
+                      Tbl.replace ext key (Arena.graft ~src ~dst:arena h));
+               (c, ext))
+    | children ->
+        List.map
+          (fun c -> extended_of arena tree ~modes ~prune ~domains:1 c)
+          children
+  in
+  List.fold_left (merge arena ~modes ~prune) start extended_tables
 
 (* The child's table extended with the decision at c itself: its
    operating mode is forced by the flow it absorbs. *)
-and extended_of ctx tree ~modes ~prune ~domains c =
+and extended_of arena tree ~modes ~prune ~domains c =
   let m = Modes.count modes in
   let sm = state_size m in
-  let sub = table_of ctx tree ~modes ~prune ~domains c in
+  let sub = table_of arena tree ~modes ~prune ~domains c in
   let extended = Tbl.create (2 * Tbl.length sub) in
   let c_initial =
     if Tree.is_pre_existing tree c then Some (initial_mode_default tree c)
@@ -468,18 +366,18 @@ and extended_of ctx tree ~modes ~prune ~domains c =
   let created = ref 0 in
   Tbl.iter
     (fun key placed ->
-      set extended key placed ~created;
+      set extended key ~created (fun () -> placed);
       let flow = flow_of key in
       let operating = Modes.mode_of_load modes flow in
       let key' = bump key ~m ~initial:c_initial ~operating in
       key'.(sm) <- 0;
-      set extended key' (Clist.snoc placed (c, flow)) ~created)
+      set extended key' ~created (fun () -> Arena.snoc arena placed ~node:c ~flow))
     sub;
   Stats_counters.add c_cells !created;
   let extended = if prune then prune_dominated ~m extended else extended in
   (c, extended)
 
-and merge ~modes ~prune left (c, extended) =
+and merge arena ~modes ~prune left (c, extended) =
   let m = Modes.count modes in
   let sm = state_size m in
   let w = Modes.max_capacity modes in
@@ -499,7 +397,7 @@ and merge ~modes ~prune left (c, extended) =
           if flow <= w then begin
             let key = Array.init (sm + 1) (fun i -> k1.(i) + k2.(i)) in
             key.(sm) <- flow;
-            set merged key (Clist.append p1 p2) ~created
+            set merged key ~created (fun () -> Arena.append arena p1 p2)
           end
           else incr rejected)
         extended)
@@ -551,7 +449,7 @@ let fresh_pslot () =
 let make_pctx ?pmemo lay =
   let arena, pslots =
     match pmemo with
-    | Some (m, _) -> (m.m_arena, m.m_pslots)
+    | Some (m, _) -> (Subtree_memo.arena m, Subtree_memo.slots m)
     | None -> (Arena.create (), [||])
   in
   {
@@ -788,29 +686,38 @@ and pnode pc tree ~modes ~prune ~domains ~depth j =
 (* The memo hook. Node j's fold resumes from its longest cached prefix:
    the first merge reads that cached table directly, so it never enters
    the slot's scratch, and a full hit returns it as node j's table.
-   Each remaining child's extension is an [ext_cache] hit or is built
+   Each remaining child's extension is a cached extension or is built
    in the slot; every extension built and every merge result is cached
    as a copy. *)
 and pmemo_fold pc mm fps tree ~modes ~prune ~depth s j children =
-  let keys, best, hit = resume mm fps tree j children ~packed:true in
-  let left =
-    ref (match hit with Some (Tpacked t) -> t | Some (Twide _) | None -> s.p_acc)
+  let k = Array.length children in
+  let keys, best, table =
+    Subtree_memo.resume mm ~fps ~client:(Tree.client_load tree j)
+      ~traced:(traced tree j) ~start:s.p_acc j children
   in
-  for i = best + 1 to Array.length children do
+  if best > 0 && best < k then Stats_counters.incr c_memo_partial;
+  let left = ref table in
+  for i = best + 1 to k do
     let c = children.(i - 1) in
     let ext =
-      match ext_lookup mm fps c ~packed:true with
-      | Some (Tpacked t) -> t
-      | Some (Twide _) | None ->
+      match Subtree_memo.find_ext mm c fps.(c) with
+      | Some t ->
+          (* a zero-length span keeps the skipped subtree visible *)
+          Stats_counters.incr c_memo_hits;
+          if Span.enabled () then begin
+            Span.begin_span "dp_power.memo_hit";
+            Span.end_span ~args:[ ("node", Span.Int c) ] ()
+          end;
+          t
+      | None ->
+          Stats_counters.incr c_memo_misses;
           pchild_ext pc tree ~modes ~prune ~domains:1 ~depth s c;
-          Hashtbl.replace mm.ext_cache (c, fps.(c))
-            { stamp = mm.gen; table = Tpacked (cache_copy mm s.p_ext) };
+          Subtree_memo.add_ext mm c fps.(c) (cache_copy mm s.p_ext);
           s.p_ext
     in
     pmerge_step pc ~modes ~prune s ~left:!left ext;
     left := s.p_acc;
-    Hashtbl.replace mm.prefixes (j, keys.(i))
-      { stamp = mm.gen; table = Tpacked (cache_copy mm s.p_acc) }
+    Subtree_memo.add_prefix mm j keys i (cache_copy mm s.p_acc)
   done;
   !left
 
@@ -959,16 +866,17 @@ let proot_scan lay ~modes table ~root_pre ~root_i0 consider =
    server needed — with an optional zero-load reuse when the root is
    pre-existing), or the root must host a server whose mode follows
    from the flow. One scratch key serves every transient root bump. *)
-let candidates ?(ctx = None) tree ~modes ~power ~cost ~prune ~domains =
+let candidates tree ~modes ~power ~cost ~prune ~domains =
   if Cost.mode_count cost <> Modes.count modes then
     invalid_arg "Dp_power: cost model mode count mismatch";
   let m = Modes.count modes in
   let root = Tree.root tree in
   let tracing = Span.enabled () in
   if tracing then Span.begin_span "dp_power.tables";
+  let arena = Arena.create () in
   let table =
     Stats_counters.time t_tables (fun () ->
-        table_of ctx tree ~modes ~prune ~domains root)
+        table_of arena tree ~modes ~prune ~domains root)
   in
   if tracing then
     Span.end_span ~args:[ ("root_cells", Span.Int (Tbl.length table)) ] ();
@@ -984,7 +892,7 @@ let candidates ?(ctx = None) tree ~modes ~power ~cost ~prune ~domains =
     let tally = tally_of_state ~modes ~available key in
     let cost_v = Cost.modal_cost cost tally in
     let power_v = power_of_state ~modes ~power key in
-    let nodes = List.map fst (Clist.to_list placed) in
+    let nodes = Arena.nodes arena placed in
     let nodes = if root_used then root :: nodes else nodes in
     out :=
       {
@@ -1064,60 +972,6 @@ let pcandidates lay tree ~modes ~power ~cost ~prune ~domains =
     Span.end_span ~args:[ ("candidates", Span.Int (List.length !out)) ] ();
   !out
 
-(* Memo housekeeping shared by both representations. *)
-let memo_prepare mm ~modes ~prune ~layout =
-  let key = (Modes.capacities modes, prune) in
-  if
-    mm.memo_key <> Some key
-    || not (Option.equal Packed_key.equal mm.m_layout layout)
-  then begin
-    Hashtbl.reset mm.prefixes;
-    Hashtbl.reset mm.ext_cache;
-    Arena.clear mm.m_arena;
-    Class_pool.clear mm.pool;
-    mm.memo_key <- Some key;
-    mm.m_layout <- layout
-  end;
-  mm.gen <- mm.gen + 1
-
-let memo_finish mm =
-  let evict tbl =
-    Hashtbl.filter_map_inplace
-      (fun _ e ->
-        if mm.gen - e.stamp <= 1 then Some e
-        else begin
-          (match e.table with
-          | Tpacked t -> Class_pool.recycle mm.pool t
-          | Twide _ -> ());
-          None
-        end)
-      tbl
-  in
-  evict mm.prefixes;
-  evict mm.ext_cache;
-  (* Reclaim arena cells orphaned by eviction/replacement once the
-     arena has outgrown its threshold; every surviving table handle is
-     rewritten through one sharing-preserving compaction map. *)
-  match mm.m_layout with
-  | Some _ when Arena.length mm.m_arena > mm.compact_at ->
-      let c = Arena.compact_begin mm.m_arena in
-      let rewrite _ e =
-        match e.table with
-        | Tpacked t ->
-            let len = Int_table.length t in
-            for i = 0 to len - 1 do
-              Int_table.set_val t i
-                (Arena.compact_root mm.m_arena c (Int_table.val_at t i))
-            done
-        | Twide _ -> ()
-      in
-      Hashtbl.iter rewrite mm.prefixes;
-      Hashtbl.iter rewrite mm.ext_cache;
-      Arena.compact_commit mm.m_arena c;
-      Stats_counters.incr c_memo_compactions;
-      mm.compact_at <- max (1 lsl 16) (4 * Arena.length mm.m_arena)
-  | Some _ | None -> ()
-
 (* Packed solve: build the root table with pooled scratch (or through
    the memo), then scan it WITHOUT materializing a candidate list —
    cost and power are evaluated into one scratch tally per cell, and
@@ -1130,7 +984,7 @@ let psolve lay tree ~modes ~power ~cost ~bound ~prune ~domains mopt =
     match mopt with
     | None -> None
     | Some mm ->
-        memo_prepare mm ~modes ~prune ~layout:(Some lay);
+        Subtree_memo.prepare mm (Modes.capacities modes, prune, lay);
         Some (mm, Tree.subtree_fingerprints tree)
   in
   let pc = make_pctx ?pmemo lay in
@@ -1199,19 +1053,12 @@ let psolve lay tree ~modes ~power ~cost ~bound ~prune ~domains mopt =
   in
   (match mopt with
   | Some mm ->
-      mm.m_pslots <- pc.pslots;
-      memo_finish mm
+      Subtree_memo.keep_slots mm pc.pslots;
+      Subtree_memo.finish mm
   | None -> ());
   result
 
-let wide_solve tree ~modes ~power ~cost ~bound ~prune ~domains mopt =
-  let ctx =
-    match mopt with
-    | None -> None
-    | Some mm ->
-        memo_prepare mm ~modes ~prune ~layout:None;
-        Some (mm, Tree.subtree_fingerprints tree)
-  in
+let wide_solve tree ~modes ~power ~cost ~bound ~prune ~domains =
   let best = ref None in
   List.iter
     (fun r ->
@@ -1219,8 +1066,7 @@ let wide_solve tree ~modes ~power ~cost ~bound ~prune ~domains mopt =
         match !best with
         | Some b when (b.power, b.cost) <= (r.power, r.cost) -> ()
         | Some _ | None -> best := Some r)
-    (candidates ~ctx tree ~modes ~power ~cost ~prune ~domains);
-  (match mopt with Some mm -> memo_finish mm | None -> ());
+    (candidates tree ~modes ~power ~cost ~prune ~domains);
   !best
 
 let solve tree ~modes ~power ~cost ?(bound = infinity) ?prune ?packed
@@ -1251,7 +1097,7 @@ let solve tree ~modes ~power ~cost ?(bound = infinity) ?prune ?packed
   let result =
     match layout with
     | Some lay -> psolve lay tree ~modes ~power ~cost ~bound ~prune ~domains m
-    | None -> wide_solve tree ~modes ~power ~cost ~bound ~prune ~domains m
+    | None -> wide_solve tree ~modes ~power ~cost ~bound ~prune ~domains
   in
   if tracing then
     Span.end_span
@@ -1296,7 +1142,8 @@ let root_state_count ?(prune = false) ?(domains = 1) tree ~modes =
       Int_table.length
         (ptable pc tree ~modes ~prune ~domains ~depth:0 (Tree.root tree))
   | None ->
-      Tbl.length (table_of None tree ~modes ~prune ~domains (Tree.root tree))
+      Tbl.length
+        (table_of (Arena.create ()) tree ~modes ~prune ~domains (Tree.root tree))
 
 (* Allocation probe: minor words allocated by rebuilding the whole
    packed table pyramid with warm scratch buffers — the quantity the

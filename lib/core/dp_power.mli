@@ -77,11 +77,13 @@
     key layout changes, and is observable through
     [dp_power.memo_{hits,partial,misses}].
 
-    On the packed path the memo is a lookup hook on the same traversal
-    as a memo-less solve, and it recycles its storage as
-    {!Dp_withpre}'s does: tables are built in per-depth scratch kept
-    from solve to solve, the cache holds copies drawn from a
-    {!Class_pool} that evicted tables feed
+    The memo is consulted on the packed layout only: a solve whose
+    instance falls back to the wide representation ignores it and runs
+    memo-less, with the same answer. On the packed path the memo is a
+    lookup hook on the same traversal as a memo-less solve, and its
+    storage follows the policy of {!Subtree_memo}: tables are built in
+    per-depth scratch kept from solve to solve, the cache holds copies
+    in recycled storage that evicted tables feed
     ([dp_power.memo_recycled]), and cached placements live in the
     memo's arena, compacted once it outgrows its threshold
     ([dp_power.memo_compactions]).

@@ -108,61 +108,23 @@ type slot = { mutable s_acc : table; mutable s_alt : table; s_ext : table }
 let fresh_slot () =
   { s_acc = fresh_table 0 0; s_alt = fresh_table 0 0; s_ext = fresh_table 0 0 }
 
-(* Incremental re-solving: a per-node cache of every prefix of the
-   child-merge fold, keyed by a fingerprint chain. The table obtained
-   after merging children c_1..c_i into node j's start cell is a pure
-   function of (w, client load of j, subtrees of c_1..c_i), so it is
-   cached under the chain key
-     k_0 = mix(load j),  k_i = combine(k_{i-1}, fp(c_i))
-   where fp is {!Tree.subtree_fingerprints}. A later solve on an epoch
-   tree that changed demand only under some child c_d resumes node j's
-   fold from the longest cached prefix (everything before the first
-   dirty child) and recomputes only the remaining merges; nodes whose
-   whole subtree is clean hit their full-table entry and do zero work.
-   Tables are never mutated after construction, so sharing them across
-   solves is safe. Entries unused for two consecutive solves are
-   evicted, bounding the cache to roughly two epochs' tables.
-
-   Storage is recycled rather than left to the GC: an evicted table
-   goes back to the memo's {!Class_pool}, which every cached merge
-   draws from before allocating, and which stays bounded by the cache
-   it serves however long the engine runs. Cached placements
-   live in the memo's own arena; after eviction the arena is compacted
-   (live handles copied, sharing preserved) once it has grown past
-   [compact_at], through the domain's reusable {!Arena} compactor, so
-   a long-running engine neither leaks dead placement cells across
-   epochs nor allocates to reclaim them. *)
-type memo = {
-  mutable gen : int;
-  mutable memo_w : int; (* tables depend on w; reset when it changes *)
-  prefixes : (int * int64, memo_entry) Hashtbl.t;
-  m_arena : Arena.t;
-  mutable compact_at : int;
-  pool : table Class_pool.t; (* recycled storage of evicted tables *)
-  mutable m_slots : slot array; (* the solves' per-depth scratch *)
-}
-
-and memo_entry = { mutable stamp : int; entry_table : table }
+(* Incremental re-solving goes through {!Subtree_memo}: every prefix
+   of every node's child-merge fold is cached under its fingerprint
+   chain, and the memo recycles evicted tables into the cached merges
+   and compacts its arena. Tables depend on [w], the memo's reset key. *)
+type memo = (int, table, slot) Subtree_memo.t
 
 let memo () =
-  {
-    gen = 0;
-    memo_w = -1;
-    prefixes = Hashtbl.create 512;
-    m_arena = Arena.create ();
-    compact_at = 1 lsl 16;
-    pool =
-      Class_pool.create
-        ~fresh:(fun k -> fresh_table 0 ((1 lsl k) - 1))
-        ~cells:(fun t -> Array.length t.flows)
-        ~recycled:c_memo_recycled;
-    m_slots = [||];
-  }
+  Subtree_memo.create ~seed:0x2545F4914F6CDD1DL
+    ~fresh:(fun k -> fresh_table 0 ((1 lsl k) - 1))
+    ~cells:(fun t -> Array.length t.flows)
+    ~relocate:(fun f t ->
+      for i = 0 to ((t.pre_cap + 1) * (t.new_cap + 1)) - 1 do
+        if t.flows.(i) >= 0 then t.placed.(i) <- f t.placed.(i)
+      done)
+    ~recycled:c_memo_recycled ~compactions:c_memo_compactions
 
-let memo_size m = Hashtbl.length m.prefixes
-
-let fp_seed client =
-  Tree.combine_fingerprints 0x2545F4914F6CDD1DL (Int64.of_int client)
+let memo_size = Subtree_memo.size
 
 type ctx = {
   arena : Arena.t;
@@ -312,47 +274,26 @@ and node_table ctx tree ~w ~depth j =
         merge_into ctx tree ~w ~depth s children.(i)
       done;
       s.s_acc
-  | Some (m, fps) -> (
-      let start = s.s_acc in
+  | Some (m, fps) ->
       let arr = Tree.children_array tree j in
-      match arr with
-      | [||] -> start
-      | _ ->
-          let k = Array.length arr in
-          let keys = Array.make (k + 1) (fp_seed client) in
-          for i = 1 to k do
-            keys.(i) <- Tree.combine_fingerprints keys.(i - 1) fps.(arr.(i - 1))
-          done;
-          let best = ref 0 and acc = ref start in
-          (try
-             for i = k downto 1 do
-               match Hashtbl.find_opt m.prefixes (j, keys.(i)) with
-               | Some e ->
-                   e.stamp <- m.gen;
-                   best := i;
-                   acc := e.entry_table;
-                   raise Exit
-               | None -> ()
-             done
-           with Exit -> ());
-          (* only on this node's own span, never an enclosing one *)
-          if traced tree j then
-            Span.add_arg "memo"
-              (Span.Str
-                 (if !best = k then "hit"
-                  else if !best > 0 then "partial"
-                  else "miss"));
-          if !best = k then Stats_counters.incr c_memo_hits
-          else begin
-            Stats_counters.incr
-              (if !best > 0 then c_memo_partial else c_memo_misses);
-            for i = !best + 1 to k do
-              acc := merge_cached ctx m tree ~w ~depth !acc arr.(i - 1);
-              Hashtbl.replace m.prefixes (j, keys.(i))
-                { stamp = m.gen; entry_table = !acc }
-            done
-          end;
-          !acc)
+      let k = Array.length arr in
+      if k = 0 then s.s_acc
+      else begin
+        let keys, best, table =
+          Subtree_memo.resume m ~fps ~client ~traced:(traced tree j)
+            ~start:s.s_acc j arr
+        in
+        let acc = ref table in
+        if best = k then Stats_counters.incr c_memo_hits
+        else begin
+          Stats_counters.incr (if best > 0 then c_memo_partial else c_memo_misses);
+          for i = best + 1 to k do
+            acc := merge_cached ctx m tree ~w ~depth !acc arr.(i - 1);
+            Subtree_memo.add_prefix m j keys i !acc
+          done
+        end;
+        !acc
+      end
 
 (* Memo-less merge: child table and extension live in scratch slots,
    the merged accumulator double-buffers between s_acc and s_alt. *)
@@ -396,7 +337,7 @@ and merge_cached ctx m tree ~w ~depth left c =
   if tracing then Span.begin_span "dp_withpre.merge";
   let pre_cap = left.pre_cap + ext.pre_cap
   and new_cap = left.new_cap + ext.new_cap in
-  let merged = Class_pool.take m.pool ((pre_cap + 1) * (new_cap + 1)) in
+  let merged = Subtree_memo.take m ((pre_cap + 1) * (new_cap + 1)) in
   reset_table merged pre_cap new_cap;
   convolve ctx ~w ~into:merged left ext;
   if tracing then
@@ -409,23 +350,6 @@ and merge_cached ctx m tree ~w ~depth left c =
         ]
       ();
   merged
-
-let compact_memo m =
-  if Arena.length m.m_arena > m.compact_at then begin
-    let c = Arena.compact_begin m.m_arena in
-    Hashtbl.iter
-      (fun _ e ->
-        let t = e.entry_table in
-        let cells = (t.pre_cap + 1) * (t.new_cap + 1) in
-        for i = 0 to cells - 1 do
-          if t.flows.(i) >= 0 then
-            t.placed.(i) <- Arena.compact_root m.m_arena c t.placed.(i)
-        done)
-      m.prefixes;
-    Arena.compact_commit m.m_arena c;
-    Stats_counters.incr c_memo_compactions;
-    m.compact_at <- max (1 lsl 16) (4 * Arena.length m.m_arena)
-  end
 
 (* Algorithm 4: the cheapest root cell under Eq. 2. Plain loops over
    the flat table and an inlined [consider], so scanning allocates only
@@ -502,16 +426,10 @@ let solve ?memo:m tree ~w ~cost =
     match m with
     | None -> { arena = Arena.create (); slots = [||]; memo = None }
     | Some mm ->
-        if mm.memo_w <> w then begin
-          Hashtbl.reset mm.prefixes;
-          Arena.clear mm.m_arena;
-          Class_pool.clear mm.pool;
-          mm.memo_w <- w
-        end;
-        mm.gen <- mm.gen + 1;
+        Subtree_memo.prepare mm w;
         {
-          arena = mm.m_arena;
-          slots = mm.m_slots;
+          arena = Subtree_memo.arena mm;
+          slots = Subtree_memo.slots mm;
           memo = Some (mm, Tree.subtree_fingerprints tree);
         }
   in
@@ -537,16 +455,8 @@ let solve ?memo:m tree ~w ~cost =
   in
   (match m with
   | Some mm ->
-      mm.m_slots <- ctx.slots;
-      Hashtbl.filter_map_inplace
-        (fun _ e ->
-          if mm.gen - e.stamp > 1 then begin
-            Class_pool.recycle mm.pool e.entry_table;
-            None
-          end
-          else Some e)
-        mm.prefixes;
-      compact_memo mm
+      Subtree_memo.keep_slots mm ctx.slots;
+      Subtree_memo.finish mm
   | None -> ());
   if tracing then
     Span.end_span

@@ -12,7 +12,7 @@
 
     Two deliberate deviations from the paper's pseudo-code, both
     documented in DESIGN.md:
-    - placements are carried as O(1)-append catenable lists instead of
+    - placements are carried as O(1)-append {!Arena} lists instead of
       per-cell O(N) request vectors, realizing the §3.3 "copy outside the
       loop" optimization functionally and bounding every node's pair of
       dimensions by its own subtree content, which is what makes the
@@ -39,8 +39,9 @@
     be reused across trees sharing one node-id space (epoch views
     derived by {!Tree.with_clients} / {!Tree.with_pre_existing}).
 
-    The memo owns its storage and recycles it, so a warm incremental
-    solve hands the GC little beyond its answer:
+    The memo is a {!Subtree_memo}, which owns the cache policy and
+    recycles the memo's storage, so a warm incremental solve hands the
+    GC little beyond its answer:
     - {b eviction}: an entry unused for two consecutive solves is
       evicted at the end of a solve;
     - {b recycled tables}: an evicted table goes onto a free list by

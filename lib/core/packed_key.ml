@@ -82,8 +82,6 @@ let total_bits l = l.total_bits
 let mode_count l = l.m
 let flow_bits l = l.flow_bits
 
-let equal la lb = la.m = lb.m && la.widths = lb.widths
-
 (* Field indices, mirroring Dp_power's array layout. *)
 let n_field _l ~operating = operating - 1
 let e_field l ~initial ~operating = l.m + ((initial - 1) * l.m) + (operating - 1)

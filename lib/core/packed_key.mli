@@ -31,9 +31,6 @@ val mode_count : layout -> int
 val flow_bits : layout -> int
 (** Width of the flow field. *)
 
-val equal : layout -> layout -> bool
-(** Same mode count and identical field widths — packed keys are
-    comparable across the two layouts. *)
 
 (** {1 Field access}
 

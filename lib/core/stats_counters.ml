@@ -71,14 +71,19 @@ type snapshot = (string * int) list
 
 let snapshot () = counters ()
 
-let diff before after =
-  let base = Hashtbl.create 64 in
-  List.iter (fun (k, v) -> Hashtbl.replace base k v) before;
-  List.filter_map
-    (fun (k, v) ->
-      let d = v - Option.value ~default:0 (Hashtbl.find_opt base k) in
-      if d <> 0 then Some (k, d) else None)
-    after
+(* One merge pass over the two name-sorted lists: a name only in
+   [after] (registered in between) counts from 0, a name only in
+   [before] is skipped. *)
+let rec diff before after =
+  match (before, after) with
+  | _, [] -> []
+  | (kb, _) :: brest, (ka, _) :: _ when String.compare kb ka < 0 ->
+      diff brest after
+  | (kb, vb) :: brest, (ka, va) :: arest when String.equal kb ka ->
+      moved ka (va - vb) (diff brest arest)
+  | _, (ka, va) :: arest -> moved ka va (diff before arest)
+
+and moved name d rest = if d <> 0 then (name, d) :: rest else rest
 
 let pad_to entries =
   List.fold_left (fun acc (name, _) -> max acc (String.length name)) 0 entries

@@ -83,7 +83,10 @@ val diff : snapshot -> snapshot -> (string * int) list
     snapshots: [(name, after - before)] for every counter whose value
     changed (counters absent from [before] — registered in between —
     count from 0). Sorted by name, zero deltas omitted. This is how
-    the engine attributes registry movement to a single epoch. *)
+    the engine attributes registry movement to a single epoch.
+
+    Both arguments must be sorted by name, as {!snapshot} returns them:
+    the diff is one merge pass over the two lists. *)
 
 val counters_report : unit -> string
 (** Aligned [name value] lines for counters only — deterministic for a

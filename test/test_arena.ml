@@ -1,4 +1,6 @@
-(* The flat placement arena: grafting and compaction must preserve every
+(* The flat placement arena: as a catenable list it must keep element
+   order through any association of appends and traverse deep spines
+   without recursion; grafting and compaction must preserve every
    placement's content and the sharing between placements, the
    per-domain compactor must carry nothing stale over from one
    compaction to the next, deep spines must not overflow any stack, and
@@ -8,6 +10,67 @@
 open Helpers
 
 let pairs = Alcotest.(list (pair int int))
+let ints = Alcotest.(list int)
+
+(* A placement of [l]'s elements (as nodes, flow 0), left to right. *)
+let of_list a l = List.fold_left (fun acc node -> Arena.snoc a acc ~node ~flow:0) Arena.empty l
+
+let test_empty () =
+  let a = Arena.create () in
+  check ci "count" 0 (Arena.count a Arena.empty);
+  check ints "nodes" [] (Arena.nodes a Arena.empty)
+
+let test_singleton () =
+  let a = Arena.create () in
+  let l = Arena.leaf a ~node:7 ~flow:3 in
+  check ci "count" 1 (Arena.count a l);
+  check pairs "to_list" [ (7, 3) ] (Arena.to_list a l)
+
+let test_append_order () =
+  let a = Arena.create () in
+  let l = Arena.append a (of_list a [ 1; 2 ]) (of_list a [ 3; 4 ]) in
+  check ints "left to right" [ 1; 2; 3; 4 ] (Arena.nodes a l);
+  check ci "count" 4 (Arena.count a l)
+
+let test_append_identity () =
+  let a = Arena.create () in
+  let l = of_list a [ 1; 2 ] in
+  check ci "empty left" l (Arena.append a Arena.empty l);
+  check ci "empty right" l (Arena.append a l Arena.empty)
+
+let test_cons_snoc () =
+  let a = Arena.create () in
+  let l = of_list a [ 2; 3 ] in
+  check ints "cons" [ 1; 2; 3 ]
+    (Arena.nodes a (Arena.append a (Arena.leaf a ~node:1 ~flow:0) l));
+  check ints "snoc" [ 2; 3; 4 ] (Arena.nodes a (Arena.snoc a l ~node:4 ~flow:0))
+
+let test_roundtrip () =
+  let a = Arena.create () in
+  let l = List.init 100 Fun.id in
+  check ints "nodes of snocs" l (Arena.nodes a (of_list a l))
+
+let test_iter_count () =
+  let a = Arena.create () in
+  let l = of_list a [ 1; 2; 3; 4 ] in
+  let sum = ref 0 in
+  Arena.iter a (fun node _ -> sum := !sum + node) l;
+  check ci "iter" 10 !sum;
+  check ci "count" 4 (Arena.count a l)
+
+let test_deep_spine () =
+  (* One million snocs must not overflow the stack on traversal. *)
+  let a = Arena.create () in
+  let l = of_list a (List.init 1_000_000 Fun.id) in
+  check ci "count" 1_000_000 (Arena.count a l);
+  check ci "materializes" 1_000_000 (List.length (Arena.nodes a l))
+
+let test_shape_independence () =
+  (* Same contents through different association orders. *)
+  let a = Arena.create () in
+  let x = Arena.append a (of_list a [ 1 ]) (of_list a [ 2; 3 ]) in
+  let y = Arena.append a (of_list a [ 1; 2 ]) (of_list a [ 3 ]) in
+  check ints "same list" (Arena.nodes a x) (Arena.nodes a y)
 
 (* A placement [l] and, independently, the list it must denote. *)
 let rec build a ~depth ~next =
@@ -172,6 +235,21 @@ let test_compaction_alloc () =
 let () =
   Alcotest.run "arena"
     [
+      ( "basics",
+        [
+          Alcotest.test_case "empty" `Quick test_empty;
+          Alcotest.test_case "singleton" `Quick test_singleton;
+          Alcotest.test_case "append order" `Quick test_append_order;
+          Alcotest.test_case "append identity" `Quick test_append_identity;
+          Alcotest.test_case "cons/snoc" `Quick test_cons_snoc;
+          Alcotest.test_case "roundtrip" `Quick test_roundtrip;
+        ] );
+      ( "traversal",
+        [
+          Alcotest.test_case "iter/count" `Quick test_iter_count;
+          Alcotest.test_case "deep spine" `Slow test_deep_spine;
+          Alcotest.test_case "shape independence" `Quick test_shape_independence;
+        ] );
       ( "graft",
         [
           Alcotest.test_case "content and sharing" `Quick test_graft_preserves;

@@ -637,6 +637,17 @@ let test_diff_counts_new_counters_from_zero () =
   check ci "absent in before counts from 0" 3
     (List.assoc "test_obs.registered_later" d)
 
+let test_diff_merge () =
+  (* Hand-made sorted snapshots: "b" appears only in [after], "a" and
+     "d" did not move, "0" is only in [before]. *)
+  let before = [ ("0", 4); ("a", 1); ("c", 5) ]
+  and after = [ ("a", 1); ("b", 2); ("c", 7); ("d", 0) ] in
+  check
+    (Alcotest.list (Alcotest.pair Alcotest.string ci))
+    "new counter from 0, zero deltas dropped"
+    [ ("b", 2); ("c", 2) ]
+    (Stats_counters.diff before after)
+
 let test_timer_seconds_non_negative () =
   (* Regression: timers once used Unix.gettimeofday, which an NTP step
      can pull backwards mid-measurement; on the monotonic clock elapsed
@@ -762,6 +773,8 @@ let () =
           Alcotest.test_case "snapshot/diff" `Quick test_snapshot_diff;
           Alcotest.test_case "diff counts new counters from 0" `Quick
             test_diff_counts_new_counters_from_zero;
+          Alcotest.test_case "diff merges sorted snapshots" `Quick
+            test_diff_merge;
           Alcotest.test_case "timer seconds non-negative" `Quick
             test_timer_seconds_non_negative;
           Alcotest.test_case "monotonic clock" `Quick test_clock_monotone;

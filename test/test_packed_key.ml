@@ -188,6 +188,29 @@ let prop_packed_vs_wide_frontier =
           | None -> false)
         (points fr))
 
+(* A memo passed with an instance beyond the packed budget is ignored:
+   the wide solve runs memo-less, with the memo-less answer, and the
+   memo caches nothing. Twenty modes on eight nodes need 4 bits per
+   count field, far past 62 bits in either layout. *)
+let test_wide_ignores_memo () =
+  let modes = Modes.make (List.init 20 (fun i -> i + 1)) in
+  let power = Power.paper_exp3 ~modes and cost = Cost.paper_cheap ~modes:20 in
+  let memo = Dp_power.memo () in
+  for seed = 1 to 4 do
+    let t = small_tree_with_pre (Rng.create seed) ~nodes:8 ~max_requests:5 ~pre:2 in
+    Alcotest.(check bool) "wide instance" true (Dp_power.packed_bits t ~modes = None);
+    let answer r =
+      Option.map
+        (fun r ->
+          (r.Dp_power.power, r.Dp_power.cost, Solution.nodes r.Dp_power.solution))
+        r
+    in
+    let plain = answer (Dp_power.solve t ~modes ~power ~cost ()) in
+    let memoed = answer (Dp_power.solve t ~modes ~power ~cost ~memo ()) in
+    Alcotest.(check bool) "memo-less answer" true (plain = memoed);
+    Alcotest.(check int) "nothing cached" 0 (Dp_power.memo_size memo)
+  done
+
 let () =
   Alcotest.run "packed_key"
     [
@@ -202,5 +225,10 @@ let () =
             test_budget_boundary;
         ] );
       ( "packed vs wide",
-        [ prop_packed_vs_wide_solve; prop_packed_vs_wide_frontier ] );
+        [
+          prop_packed_vs_wide_solve;
+          prop_packed_vs_wide_frontier;
+          Alcotest.test_case "wide instance ignores the memo" `Quick
+            test_wide_ignores_memo;
+        ] );
     ]

@@ -110,21 +110,29 @@ let prop_power_monotone_in_mode =
       in
       m = 1 || increasing 1)
 
-let prop_clist_append_assoc =
-  qcheck_case "clist append is associative on contents"
-    QCheck2.Gen.(triple (list small_int) (list small_int) (list small_int))
-    (fun (a, b, c) ->
-      let ca = Clist.of_list a and cb = Clist.of_list b and cc = Clist.of_list c in
-      Clist.to_list (Clist.append (Clist.append ca cb) cc)
-      = Clist.to_list (Clist.append ca (Clist.append cb cc))
-      && Clist.to_list (Clist.append ca cb) = a @ b)
+(* Placements as arena lists, built left to right by snoc. *)
+let arena_of_list a l =
+  List.fold_left (fun acc node -> Arena.snoc a acc ~node ~flow:0) Arena.empty l
 
-let prop_clist_length =
-  qcheck_case "clist length agrees with to_list"
+let prop_arena_append_assoc =
+  qcheck_case "arena append is associative on contents"
+    QCheck2.Gen.(triple (list small_int) (list small_int) (list small_int))
+    (fun (x, y, z) ->
+      let a = Arena.create () in
+      let ca = arena_of_list a x
+      and cb = arena_of_list a y
+      and cc = arena_of_list a z in
+      Arena.nodes a (Arena.append a (Arena.append a ca cb) cc)
+      = Arena.nodes a (Arena.append a ca (Arena.append a cb cc))
+      && Arena.nodes a (Arena.append a ca cb) = x @ y)
+
+let prop_arena_count =
+  qcheck_case "arena count agrees with to_list"
     QCheck2.Gen.(list small_int)
     (fun l ->
-      let c = Clist.of_list l in
-      Clist.length c = List.length l && Clist.to_list c = l)
+      let a = Arena.create () in
+      let c = arena_of_list a l in
+      Arena.count a c = List.length l && Arena.nodes a c = l)
 
 let prop_basic_cost_formula =
   qcheck_case "Eq. 2 equals its closed form"
@@ -183,6 +191,6 @@ let () =
           prop_basic_cost_formula;
         ] );
       ( "structures",
-        [ prop_clist_append_assoc; prop_clist_length ] );
+        [ prop_arena_append_assoc; prop_arena_count ] );
       ("policies", [ prop_update_policy_lazy_subset ]);
     ]
